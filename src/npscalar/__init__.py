@@ -42,13 +42,10 @@ from .protocol import (
     chain_step,
     enumerate_sub_instances,
     run_protocol,
-    two_party_combine,
-    two_party_response,
 )
 from .ring import DEFAULT_MODULUS, ModVector, Ring, mask, product_trace, unmask
 from .shares import (
     MaskIdAllocator,
-    OutputMask,
     Rng,
     ShareBundle,
     generate_share_bundles,
@@ -71,7 +68,6 @@ __all__ = [
     "MessageKind",
     "ModVector",
     "Network",
-    "OutputMask",
     "PartyId",
     "Policy",
     "ProtocolEngine",
@@ -110,7 +106,5 @@ __all__ = [
     "scan_mask_safety",
     "scan_ttp_rotation",
     "split_value",
-    "two_party_combine",
-    "two_party_response",
     "unmask",
 ]

@@ -92,13 +92,11 @@ def chain_residual_coefficients(n: int) -> dict:
 
     # first chain value: position 1 plaintext, everyone else masked
     accumulate(_phi_expansion(n, frozenset({1}), frozenset()), +1)
-    share_coefficients = {1: n - 1}
-    # each later step subtracts (others masked) x (own mask), adds shares
+    # each later step subtracts (others masked) x (own mask)
     for i in range(2, n + 1):
         accumulate(_phi_expansion(n, frozenset(), frozenset({i})), -1)
-        share_coefficients[i] = n - 1
-    # share substitution: the shares sum to the all-random mixed term
-    assert all(c == n - 1 for c in share_coefficients.values())
+    # every position adds (n-1) times its share, and the shares sum to the
+    # all-random mixed term
     empty = frozenset()
     coeff[empty] = coeff.get(empty, 0) + (n - 1)
     # the output mask subtracted in the first step cancels the one re-added
@@ -329,8 +327,6 @@ class InstanceCensus:
 
 @lru_cache(maxsize=None)
 def _total_instances(m: int) -> int:
-    if m == 2:
-        return 1
     return 1 + sum(
         math.comb(m, t) * _total_instances(t + 1) for t in range(1, m - 1)
     )
@@ -339,8 +335,6 @@ def _total_instances(m: int) -> int:
 @lru_cache(maxsize=None)
 def _inner_messages(m: int) -> int:
     # shares + masked broadcasts + chain values (+ 1 report per child)
-    if m == 2:
-        return 6
     own = m + m * (m - 1) + m
     return own + sum(
         math.comb(m, t) * (_inner_messages(t + 1) + 1) for t in range(1, m - 1)
@@ -349,8 +343,6 @@ def _inner_messages(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _per_depth(m: int) -> tuple:
-    if m == 2:
-        return (1,)
     acc: dict[int, int] = {0: 1}
     for t in range(1, m - 1):
         for d, c in enumerate(_per_depth(t + 1)):
@@ -362,10 +354,9 @@ def count_instances(n: int) -> InstanceCensus:
     """Closed-form census of one run: counts by enumeration, no arithmetic."""
     if n < 2:
         raise InstanceShapeError("census needs at least 2 parties")
-    direct = (1 << n) - n - 2 if n >= 3 else 0
     return InstanceCensus(
         n=n,
-        direct_children=direct,
+        direct_children=(1 << n) - n - 2,
         total_instances=_total_instances(n),
         messages=_inner_messages(n) + n,
         per_depth=_per_depth(n),

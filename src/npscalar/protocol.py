@@ -2,7 +2,7 @@
 
 An instance consists of m ordered *positions*. Each position holds one
 vector: either a party's plaintext data or the collapsed product of the
-masks a sub-instance replaces. The flow for m >= 3:
+masks a sub-instance replaces. Every instance, m >= 2, runs one flow:
 
   1. the instance's TTP distributes fresh correlated randomness
      (mask vector + additive scalar share) to every position;
@@ -13,11 +13,9 @@ masks a sub-instance replaces. The flow for m >= 3:
   4. each proper subset of positions that keeps 1..m-2 vectors as data
      spawns a sub-instance computing the corresponding mixed term, with
      the remaining positions' masks collapsed into a single vector held
-     by this instance's TTP;
+     by this instance's TTP (a two-position instance has none);
   5. position 1 combines the final chain value, the coefficient-weighted
      sub-results and the output mask into the published result.
-
-m == 2 instances run the classic commodity-server two-party exchange.
 
 TTP assignment policy:
   SECURE  - each instance's randomness comes from the lowest-ordered party
@@ -162,34 +160,6 @@ def aggregate_final(
     return ring.reduce(total + output_mask)
 
 
-def two_party_response(
-    masked_first: ModVector,
-    own_vector: ModVector,
-    own_share: int,
-    output_mask: int,
-    ring: Ring,
-) -> int:
-    """Second party's transfer value in the two-party exchange."""
-    return ring.reduce(
-        product_trace([masked_first, own_vector], ring) + own_share - output_mask
-    )
-
-
-def two_party_combine(
-    transfer: int,
-    own_mask: ModVector,
-    masked_second: ModVector,
-    own_share: int,
-    output_mask: int,
-    ring: Ring,
-) -> int:
-    """First party's half plus the revealed output mask: the scalar product."""
-    half = ring.reduce(
-        transfer - product_trace([own_mask, masked_second], ring) + own_share
-    )
-    return ring.reduce(half + output_mask)
-
-
 # ---------------------------------------------------------------------------
 # runtime state
 
@@ -204,7 +174,6 @@ class _Position:
         "chain_prev",
         "chain_sent",
         "output_mask",
-        "revealed_mask",
     )
 
     def __init__(self, owner: PartyId, vector: ModVector, subject: tuple):
@@ -216,7 +185,6 @@ class _Position:
         self.chain_prev: Optional[int] = None
         self.chain_sent = False
         self.output_mask: Optional[int] = None
-        self.revealed_mask: Optional[int] = None
 
 
 class ProtocolInstance:
@@ -235,7 +203,7 @@ class ProtocolInstance:
         "result",
         "shares_delivered",
         "masked_delivered",
-        "final_deliveries",
+        "final_delivered",
         "ttp_bundles",
     )
 
@@ -254,7 +222,7 @@ class ProtocolInstance:
         self.result: Optional[int] = None
         self.shares_delivered = 0
         self.masked_delivered = 0
-        self.final_deliveries = 0
+        self.final_delivered: set[int] = set()
         self.ttp_bundles: list[ShareBundle] = []
 
     @property
@@ -272,6 +240,15 @@ def _subject_meta(subject: tuple) -> dict:
     return {"kind": "prod", "masks": sorted(subject[1])}
 
 
+def _rejected(inst: ProtocolInstance, msg, position: int, problem: str):
+    """The error for a message the instance's state does not admit; it
+    names the instance, the message kind and the receiving position."""
+    return ProtocolStateError(
+        f"instance {inst.instance_id}: {msg.kind.value} "
+        f"at position {position}: {problem}"
+    )
+
+
 class ProtocolEngine:
     """Drives every instance of one run over a shared network."""
 
@@ -284,8 +261,6 @@ class ProtocolEngine:
         self.instances: dict[int, ProtocolInstance] = {}
         self._ids = itertools.count()
         self.mask_ids = MaskIdAllocator()
-        # mask_id -> {"value", "holder", "generator", "instance", "position"}
-        self.mask_registry: dict[int, dict] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -309,22 +284,10 @@ class ProtocolEngine:
             if len(pos.vector) != length:
                 raise InputShapeError("instance vectors must share one length")
         bundles = generate_share_bundles(
-            m,
-            length,
-            self.ring,
-            self.rng,
-            ids=self.mask_ids,
-            holders=[p.owner for p in inst.positions],
+            m, length, self.ring, self.rng, ids=self.mask_ids
         )
         inst.ttp_bundles = bundles
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
-            self.mask_registry[bundle.mask_id] = {
-                "value": bundle.mask,
-                "holder": pos.owner,
-                "generator": inst.ttp,
-                "instance": inst.instance_id,
-                "position": i,
-            }
             self.net.record_local(
                 inst.ttp,
                 "bundle",
@@ -349,9 +312,8 @@ class ProtocolEngine:
                 },
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
             )
-        if m > 2:
-            for spec in enumerate_sub_instances(m):
-                self.start(self.spawn_sub_instance(inst, spec))
+        for spec in enumerate_sub_instances(m):
+            self.start(self.spawn_sub_instance(inst, spec))
 
     def spawn_sub_instance(
         self, parent: ProtocolInstance, spec: SubInstanceSpec
@@ -414,33 +376,23 @@ class ProtocolEngine:
             self._on_chain(inst, msg)
         elif kind is MessageKind.SUB_RESULT:
             self._on_sub_result(inst, msg)
-        elif kind is MessageKind.OUTPUT_MASK_REVEAL:
-            self._on_reveal(inst, msg)
         elif kind is MessageKind.FINAL_RESULT:
-            inst.final_deliveries += 1
-            if inst.final_deliveries == inst.n:
-                inst.state = Lifecycle.DONE
+            self._on_final(inst, msg)
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["position"]
         pos = inst.positions[i - 1]
         if pos.bundle is not None:
-            raise ProtocolStateError("duplicate share distribution")
+            raise _rejected(inst, msg, i, "duplicate")
         pos.bundle = inst.ttp_bundles[i - 1]
         inst.shares_delivered += 1
         if inst.shares_delivered == inst.n:
             inst.state = Lifecycle.MASKING
-        if inst.n == 2:
-            if i == 1:
-                self._send_masked(inst, 1, [2])
-            else:
-                self._maybe_respond(inst)
+        self._send_masked(inst, i, [j for j in range(1, inst.n + 1) if j != i])
+        if i == 1:
+            self._maybe_start_chain(inst)
         else:
-            self._send_masked(inst, i, [j for j in range(1, inst.n + 1) if j != i])
-            if i == 1:
-                self._maybe_start_chain(inst)
-            else:
-                self._maybe_step(inst, i)
+            self._maybe_step(inst, i)
 
     def _send_masked(self, inst: ProtocolInstance, i: int, to_positions) -> None:
         pos = inst.positions[i - 1]
@@ -461,21 +413,18 @@ class ProtocolEngine:
         i = msg.payload["from_pos"]
         j = msg.payload["to_pos"]
         pos = inst.positions[j - 1]
+        if i in pos.masked:
+            raise _rejected(inst, msg, j, f"duplicate from position {i}")
         pos.masked[i] = ModVector(msg.payload["values"], self.ring)
         inst.masked_delivered += 1
-        if inst.n > 2 and inst.masked_delivered == inst.n * (inst.n - 1):
+        if inst.masked_delivered == inst.n * (inst.n - 1):
             inst.state = Lifecycle.CHAIN
-        if inst.n == 2:
-            if j == 2:
-                self._maybe_respond(inst)
-            else:
-                self._maybe_complete_pair(inst)
-        elif j == 1:
+        if j == 1:
             self._maybe_start_chain(inst)
         else:
             self._maybe_step(inst, j)
 
-    # -- chain (m >= 3) ----------------------------------------------------
+    # -- chain -------------------------------------------------------------
 
     def _maybe_start_chain(self, inst: ProtocolInstance) -> None:
         pos = inst.positions[0]
@@ -534,16 +483,12 @@ class ProtocolEngine:
     def _on_chain(self, inst: ProtocolInstance, msg) -> None:
         to_pos = msg.payload["to_pos"]
         index = msg.payload["index"]
-        if inst.n == 2:
-            if to_pos != 1 or index != 2:
-                raise ProtocolStateError("unexpected transfer value")
-            inst.chain_final = msg.payload["value"]
-            self._maybe_complete_pair(inst)
-            return
         if to_pos == 1:
+            if inst.chain_final is not None:
+                raise _rejected(inst, msg, 1, "duplicate closing value")
             if index != inst.n:
-                raise ProtocolStateError(
-                    f"chain closed with index {index}, expected {inst.n}"
+                raise _rejected(
+                    inst, msg, 1, f"closing index {index}, expected {inst.n}"
                 )
             inst.chain_final = msg.payload["value"]
             inst.state = (
@@ -553,85 +498,25 @@ class ProtocolEngine:
         else:
             pos = inst.positions[to_pos - 1]
             if index != to_pos - 1 or pos.chain_prev is not None:
-                raise ProtocolStateError(
-                    f"out-of-order chain value {index} at position {to_pos}"
-                )
+                raise _rejected(inst, msg, to_pos, f"out-of-order index {index}")
             pos.chain_prev = msg.payload["value"]
             self._maybe_step(inst, to_pos)
-
-    # -- two-party exchange ------------------------------------------------
-
-    def _maybe_respond(self, inst: ProtocolInstance) -> None:
-        pos = inst.positions[1]
-        if pos.chain_sent or pos.bundle is None or 1 not in pos.masked:
-            return
-        pos.output_mask = self.rng.element(self.ring)
-        self.net.record_local(
-            pos.owner,
-            "output_mask",
-            {"instance": inst.instance_id, "value": pos.output_mask},
-        )
-        transfer = two_party_response(
-            pos.masked[1], pos.vector, pos.bundle.share, pos.output_mask, self.ring
-        )
-        pos.chain_sent = True
-        first_owner = inst.positions[0].owner
-        self._send_masked(inst, 2, [1])
-        self.net.send(
-            pos.owner,
-            first_owner,
-            inst.instance_id,
-            MessageKind.CHAIN_VALUE,
-            {"index": 2, "to_pos": 1, "value": transfer},
-        )
-        self.net.send(
-            pos.owner,
-            first_owner,
-            inst.instance_id,
-            MessageKind.OUTPUT_MASK_REVEAL,
-            {"to_pos": 1, "value": pos.output_mask},
-        )
-
-    def _on_reveal(self, inst: ProtocolInstance, msg) -> None:
-        inst.positions[0].revealed_mask = msg.payload["value"]
-        self._maybe_complete_pair(inst)
-
-    def _maybe_complete_pair(self, inst: ProtocolInstance) -> None:
-        pos = inst.positions[0]
-        if (
-            inst.result is not None
-            or pos.bundle is None
-            or 2 not in pos.masked
-            or inst.chain_final is None
-            or pos.revealed_mask is None
-        ):
-            return
-        result = two_party_combine(
-            inst.chain_final,
-            pos.bundle.mask,
-            pos.masked[2],
-            pos.bundle.share,
-            pos.revealed_mask,
-            self.ring,
-        )
-        inst.result = result
-        self._publish(inst)
 
     # -- aggregation -------------------------------------------------------
 
     def _on_sub_result(self, inst: ProtocolInstance, msg) -> None:
         kept = frozenset(msg.payload["kept"])
         if kept not in inst.sub_results:
-            raise ProtocolStateError(f"unexpected sub-result for {sorted(kept)}")
+            raise _rejected(inst, msg, 1, f"unexpected for kept {sorted(kept)}")
         if inst.sub_results[kept] is not None:
-            raise ProtocolStateError(f"duplicate sub-result for {sorted(kept)}")
+            raise _rejected(inst, msg, 1, f"duplicate for kept {sorted(kept)}")
         inst.sub_results[kept] = msg.payload["value"]
         self._maybe_finalize(inst)
 
     def _maybe_finalize(self, inst: ProtocolInstance) -> None:
         if inst.result is not None or inst.chain_final is None:
             return
-        if any(v is None for v in inst.sub_results.values()):
+        if None in inst.sub_results.values():
             return
         inst.state = Lifecycle.AGGREGATING
         subs = [
@@ -644,6 +529,14 @@ class ProtocolEngine:
             inst.chain_final, subs, inst.positions[0].output_mask, self.ring
         )
         self._publish(inst)
+
+    def _on_final(self, inst: ProtocolInstance, msg) -> None:
+        j = msg.payload["to_pos"]
+        if j in inst.final_delivered:
+            raise _rejected(inst, msg, j, "duplicate")
+        inst.final_delivered.add(j)
+        if len(inst.final_delivered) == inst.n:
+            inst.state = Lifecycle.DONE
 
     def _publish(self, inst: ProtocolInstance) -> None:
         first_owner = inst.positions[0].owner

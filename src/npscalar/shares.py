@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InstanceShapeError
-from .parties import PartyId
 from .ring import ModVector, Ring, product_trace
 
 
@@ -55,15 +54,6 @@ class ShareBundle:
     mask: ModVector
     share: int
     mask_id: int
-    holder: Optional[PartyId] = None
-
-
-@dataclass(frozen=True)
-class OutputMask:
-    """The final-result blinding value; held by exactly one party."""
-
-    value: int
-    holder: PartyId
 
 
 def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
@@ -81,7 +71,6 @@ def generate_share_bundles(
     ring: Ring,
     rng: Rng,
     ids: Optional[MaskIdAllocator] = None,
-    holders: Optional[Sequence[PartyId]] = None,
 ) -> list[ShareBundle]:
     """Fresh correlated randomness for an n-position instance.
 
@@ -92,17 +81,10 @@ def generate_share_bundles(
         raise InstanceShapeError("share generation needs at least 2 positions")
     if length < 1:
         raise InstanceShapeError("vector length must be >= 1")
-    if holders is not None and len(holders) != n:
-        raise InstanceShapeError("holders list must match the position count")
     ids = ids if ids is not None else MaskIdAllocator()
     masks = [rng.vector(ring, length) for _ in range(n)]
     shares = split_value(product_trace(masks, ring), n, ring, rng)
     return [
-        ShareBundle(
-            mask=masks[i],
-            share=shares[i],
-            mask_id=ids.fresh(),
-            holder=holders[i] if holders is not None else None,
-        )
+        ShareBundle(mask=masks[i], share=shares[i], mask_id=ids.fresh())
         for i in range(n)
     ]

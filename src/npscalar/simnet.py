@@ -30,7 +30,6 @@ class MessageKind(Enum):
     MASKED_MATRIX = "MaskedMatrixBroadcast"
     CHAIN_VALUE = "ChainValue"
     SUB_RESULT = "SubResult"
-    OUTPUT_MASK_REVEAL = "OutputMaskReveal"
     FINAL_RESULT = "FinalResult"
 
 

@@ -1,13 +1,18 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
+import npscalar.protocol
 from npscalar import (
     InputShapeError,
     InstanceShapeError,
     Lifecycle,
     MessageKind,
+    Network,
     Policy,
+    ProtocolStateError,
     Ring,
     count_instances,
     mixed_term,
@@ -78,6 +83,21 @@ class TestLifecycleAndStructure:
                 assert run.message_count == census.messages
                 assert run.per_depth_counts() == list(census.per_depth)
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_message_kinds_match_instances(self, n, policy):
+        run = run_protocol(random_vectors(n, 2, n), seed=1, policy=policy)
+        sizes = [inst.n for inst in run.engine.instances.values()]
+        assert Counter(msg.kind for msg in run.transcript) == Counter(
+            {
+                MessageKind.SHARE_DISTRIBUTION: sum(sizes),
+                MessageKind.MASKED_MATRIX: sum(m * (m - 1) for m in sizes),
+                MessageKind.CHAIN_VALUE: sum(sizes),
+                MessageKind.SUB_RESULT: len(sizes) - 1,
+                MessageKind.FINAL_RESULT: n,
+            }
+        )
+
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
         insts = run.engine.instances
@@ -124,3 +144,91 @@ class TestValidation:
         tail = list(run.transcript)[-3:]
         assert all(m.kind is MessageKind.FINAL_RESULT for m in tail)
         assert {str(m.recipient) for m in tail} == {"p1", "p2", "p3"}
+
+
+class DuplicatingNetwork(Network):
+    """Delivers the first message that `pick` selects twice in a row."""
+
+    def __init__(self, pick):
+        super().__init__()
+        self.pick = pick
+        self.duplicated = None
+        self._again = None
+
+    def deliver_next(self):
+        if self._again is not None:
+            msg, self._again = self._again, None
+            self.transcript.append(msg)
+            return msg
+        msg = super().deliver_next()
+        if msg is not None and self.duplicated is None and self.pick(msg):
+            self.duplicated = self._again = msg
+        return msg
+
+
+def _of_kind(kind):
+    return lambda msg: msg.kind is kind
+
+
+def _chain_to(closing):
+    return lambda msg: (
+        msg.kind is MessageKind.CHAIN_VALUE and (msg.payload["to_pos"] == 1) == closing
+    )
+
+
+class TestDuplicateRejection:
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            _of_kind(MessageKind.SHARE_DISTRIBUTION),
+            _of_kind(MessageKind.MASKED_MATRIX),
+            _chain_to(closing=False),
+            _chain_to(closing=True),
+            _of_kind(MessageKind.SUB_RESULT),
+            _of_kind(MessageKind.FINAL_RESULT),
+        ],
+        ids=[
+            "ShareDistribution",
+            "MaskedMatrixBroadcast",
+            "ChainValue-step",
+            "ChainValue-closing",
+            "SubResult",
+            "FinalResult",
+        ],
+    )
+    def test_duplicate_raises_and_names_it(self, pick, monkeypatch):
+        nets = []
+
+        def network():
+            nets.append(DuplicatingNetwork(pick))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(3, 2, 11), seed=11)
+        msg = nets[0].duplicated
+        position = msg.payload.get("to_pos", msg.payload.get("position"))
+        assert str(err.value).startswith(
+            f"instance {msg.instance_id}: {msg.kind.value} at position {position}:"
+        )
+
+
+class TestGoldenTranscripts:
+    """sha256 of export_jsonl(); a new digest here is a transcript change
+    and must be deliberate."""
+
+    @pytest.mark.parametrize(
+        "n,length,seed,policy,digest",
+        [
+            (2, 3, 1, Policy.SECURE,
+             "c504cffa82d27e81f1110c5c78bd26a6b422c855e95c606df72611fb1470534e"),
+            (3, 2, 7, Policy.FLAWED,
+             "3e7be54918b53583b82b0932b622571114363e9ee3f8437855bb6aff59766ec9"),
+            (4, 4, 3, Policy.SECURE,
+             "13119a3d9a3fcefe37b1f0a9ea56cf61d8cd14a0d94c99b32d1b6b0f13fa1423"),
+        ],
+    )
+    def test_transcript_hash(self, n, length, seed, policy, digest):
+        run = run_protocol(random_vectors(n, length, seed), seed=seed, policy=policy)
+        exported = run.transcript.export_jsonl().encode()
+        assert hashlib.sha256(exported).hexdigest() == digest

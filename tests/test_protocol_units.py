@@ -13,8 +13,6 @@ from npscalar import (
     chain_init,
     chain_step,
     enumerate_sub_instances,
-    two_party_combine,
-    two_party_response,
 )
 
 R64 = Ring()
@@ -136,7 +134,10 @@ class TestAggregateFinal:
         assert aggregate_final(100, specs, 3, R64) == 100 + 10 + 7 + 3
 
 
-class TestTwoPartyAlgebra:
+class TestTwoPositionChain:
+    """A two-position instance runs chain_init -> chain_step ->
+    aggregate_final with no sub-results."""
+
     def test_worked_example(self):
         a, b = vec([2]), vec([3])
         mask_a, mask_b = vec([5]), vec([7])
@@ -146,18 +147,21 @@ class TestTwoPartyAlgebra:
         output_mask = 4
         masked_a = a.add(mask_a)
         assert masked_a.entries == (7,)
-        transfer = two_party_response(masked_a, b, share_b, output_mask, R64)
-        assert transfer == 41
         masked_b = b.add(mask_b)
         assert masked_b.entries == (10,)
-        got = two_party_combine(transfer, mask_a, masked_b, share_a, output_mask, R64)
-        assert got == 6
+        # trace(10*2) + 11 - 4
+        first = chain_init(a, [masked_b], share_a, output_mask, R64)
+        assert first == 27
+        # 27 - trace(7*7) + 24
+        last = chain_step(first, mask_b, [masked_a], share_b, R64)
+        assert last == 2
+        assert aggregate_final(last, [], output_mask, R64) == 6
 
     def test_zero_vector(self):
         a, b = vec([0, 0, 0]), vec([9, 8, 7])
         mask_a, mask_b = vec([1, 2, 3]), vec([4, 5, 6])
         trace = 1 * 4 + 2 * 5 + 3 * 6
         share_a, share_b = 13, R64.sub(trace, 13)
-        transfer = two_party_response(a.add(mask_a), b, share_b, 99, R64)
-        got = two_party_combine(transfer, mask_a, b.add(mask_b), share_a, 99, R64)
-        assert got == 0
+        first = chain_init(a, [b.add(mask_b)], share_a, 99, R64)
+        last = chain_step(first, mask_b, [a.add(mask_a)], share_b, R64)
+        assert aggregate_final(last, [], 99, R64) == 0

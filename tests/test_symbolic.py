@@ -79,7 +79,7 @@ class TestDecompositionIdentity:
 
 
 class TestChainAgainstSymbolicOracle:
-    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_residual_identity_numeric(self, n):
         # run the chain arithmetic by hand and compare the residual with
         # the symbolic coefficients evaluated on the same vectors
@@ -111,5 +111,5 @@ class TestChainAgainstSymbolicOracle:
         assert residual == R64.neg(R64.reduce(weighted))
 
     def test_all_random_class_cancels(self):
-        for n in range(3, 7):
+        for n in range(2, 7):
             assert chain_residual_coefficients(n)[frozenset()] == 0
