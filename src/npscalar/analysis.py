@@ -270,29 +270,33 @@ def scan_ttp_rotation(transcript: Transcript) -> list[str]:
 
 def scan_mask_safety(transcript: Transcript) -> list[str]:
     """Violations of mask-recipient safety: a message referencing mask m
-    delivered to a party that already knows m and is not m's holder."""
+    delivered to a party that already knows m and is not m's holder.
+
+    "Already" means earlier in the transcript, which is delivery order; a
+    message's `seq` is its send order, and the two differ under any
+    schedule other than global FIFO."""
     holder: dict[int, PartyId] = {}
     generator: dict[int, PartyId] = {}
     received_at: dict[tuple, int] = {}
-    for msg in transcript:
+    for at, msg in enumerate(transcript):
         if msg.kind is MessageKind.SHARE_DISTRIBUTION:
             mid = msg.meta["mask_id"]
             holder[mid] = msg.recipient
             generator[mid] = msg.sender
-            received_at[(msg.recipient, mid)] = msg.seq
+            received_at[(msg.recipient, mid)] = at
 
-    def knows(party: PartyId, mid: int, before_seq: int) -> bool:
+    def knows(party: PartyId, mid: int, before: int) -> bool:
         if generator.get(mid) == party:
             return True
         at = received_at.get((party, mid))
-        return at is not None and at < before_seq
+        return at is not None and at < before
 
     violations = []
-    for msg in transcript:
+    for at, msg in enumerate(transcript):
         if msg.kind is not MessageKind.MASKED_MATRIX:
             continue
         mid = msg.meta["mask_id"]
-        if msg.recipient != holder.get(mid) and knows(msg.recipient, mid, msg.seq):
+        if msg.recipient != holder.get(mid) and knows(msg.recipient, mid, at):
             violations.append(
                 f"seq {msg.seq}: mask {mid} reached knowing party {msg.recipient}"
             )

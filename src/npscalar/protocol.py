@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     InputShapeError,
@@ -114,7 +114,7 @@ def assign_ttp(
 
 def chain_init(
     own_vector: ModVector,
-    masked_others: Sequence[ModVector],
+    masked_others: Collection[ModVector],
     own_share: int,
     output_mask: int,
     ring: Ring,
@@ -131,7 +131,7 @@ def chain_init(
 def chain_step(
     prev: int,
     own_mask: ModVector,
-    masked_others: Sequence[ModVector],
+    masked_others: Collection[ModVector],
     own_share: int,
     ring: Ring,
 ) -> int:
@@ -249,6 +249,10 @@ def _rejected(inst: ProtocolInstance, msg, position: int, problem: str):
     )
 
 
+def _out_of_range(inst: ProtocolInstance, msg, position: int):
+    return _rejected(inst, msg, position, f"no such position (1..{inst.n})")
+
+
 class ProtocolEngine:
     """Drives every instance of one run over a shared network."""
 
@@ -296,7 +300,7 @@ class ProtocolEngine:
                     "position": i,
                     "mask_id": bundle.mask_id,
                     "holder": str(pos.owner),
-                    "mask": list(bundle.mask.entries),
+                    "mask": bundle.mask.entries,
                     "share": bundle.share,
                 },
             )
@@ -307,7 +311,7 @@ class ProtocolEngine:
                 MessageKind.SHARE_DISTRIBUTION,
                 {
                     "position": i,
-                    "mask": list(bundle.mask.entries),
+                    "mask": bundle.mask.entries,
                     "share": bundle.share,
                 },
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
@@ -348,7 +352,7 @@ class ProtocolEngine:
                 "instance": parent.instance_id,
                 "kept": kept,
                 "subject": _subject_meta(subject),
-                "values": list(collapsed.entries),
+                "values": collapsed.entries,
             },
         )
         ttp = assign_ttp([p.owner for p in positions], self.policy, parent.ttp, self.pool)
@@ -381,6 +385,8 @@ class ProtocolEngine:
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["position"]
+        if not 1 <= i <= inst.n:
+            raise _out_of_range(inst, msg, i)
         pos = inst.positions[i - 1]
         if pos.bundle is not None:
             raise _rejected(inst, msg, i, "duplicate")
@@ -388,34 +394,40 @@ class ProtocolEngine:
         inst.shares_delivered += 1
         if inst.shares_delivered == inst.n:
             inst.state = Lifecycle.MASKING
-        self._send_masked(inst, i, [j for j in range(1, inst.n + 1) if j != i])
+        self._send_masked(inst, i)
         if i == 1:
             self._maybe_start_chain(inst)
         else:
             self._maybe_step(inst, i)
 
-    def _send_masked(self, inst: ProtocolInstance, i: int, to_positions) -> None:
+    def _send_masked(self, inst: ProtocolInstance, i: int) -> None:
+        """Broadcast position i's masked vector to every other position;
+        all recipients share one immutable entries tuple."""
         pos = inst.positions[i - 1]
-        masked = pos.vector.add(pos.bundle.mask)
+        values = pos.vector.add(pos.bundle.mask).entries
         meta = {"mask_id": pos.bundle.mask_id, "subject": _subject_meta(pos.subject)}
-        payload_values = list(masked.entries)
-        for j in to_positions:
-            self.net.send(
-                pos.owner,
-                inst.positions[j - 1].owner,
-                inst.instance_id,
-                MessageKind.MASKED_MATRIX,
-                {"from_pos": i, "to_pos": j, "values": payload_values},
-                meta,
-            )
+        for j, other in enumerate(inst.positions, start=1):
+            if j != i:
+                self.net.send(
+                    pos.owner,
+                    other.owner,
+                    inst.instance_id,
+                    MessageKind.MASKED_MATRIX,
+                    {"from_pos": i, "to_pos": j, "values": values},
+                    meta,
+                )
 
     def _on_masked(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["from_pos"]
         j = msg.payload["to_pos"]
+        if not 1 <= j <= inst.n:
+            raise _out_of_range(inst, msg, j)
+        if i == j or not 1 <= i <= inst.n:
+            raise _rejected(inst, msg, j, f"from position {i}, not another position")
         pos = inst.positions[j - 1]
         if i in pos.masked:
             raise _rejected(inst, msg, j, f"duplicate from position {i}")
-        pos.masked[i] = ModVector(msg.payload["values"], self.ring)
+        pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
         inst.masked_delivered += 1
         if inst.masked_delivered == inst.n * (inst.n - 1):
             inst.state = Lifecycle.CHAIN
@@ -439,7 +451,7 @@ class ProtocolEngine:
         )
         first = chain_init(
             pos.vector,
-            [pos.masked[x] for x in range(2, m + 1)],
+            pos.masked.values(),
             pos.bundle.share,
             pos.output_mask,
             self.ring,
@@ -466,7 +478,7 @@ class ProtocolEngine:
         value = chain_step(
             pos.chain_prev,
             pos.bundle.mask,
-            [pos.masked[x] for x in range(1, m + 1) if x != i],
+            pos.masked.values(),
             pos.bundle.share,
             self.ring,
         )
@@ -483,6 +495,8 @@ class ProtocolEngine:
     def _on_chain(self, inst: ProtocolInstance, msg) -> None:
         to_pos = msg.payload["to_pos"]
         index = msg.payload["index"]
+        if not 1 <= to_pos <= inst.n:
+            raise _out_of_range(inst, msg, to_pos)
         if to_pos == 1:
             if inst.chain_final is not None:
                 raise _rejected(inst, msg, 1, "duplicate closing value")
@@ -505,6 +519,9 @@ class ProtocolEngine:
     # -- aggregation -------------------------------------------------------
 
     def _on_sub_result(self, inst: ProtocolInstance, msg) -> None:
+        to_pos = msg.payload["to_pos"]
+        if to_pos != 1:
+            raise _rejected(inst, msg, to_pos, "sub-results go to position 1")
         kept = frozenset(msg.payload["kept"])
         if kept not in inst.sub_results:
             raise _rejected(inst, msg, 1, f"unexpected for kept {sorted(kept)}")
@@ -532,6 +549,8 @@ class ProtocolEngine:
 
     def _on_final(self, inst: ProtocolInstance, msg) -> None:
         j = msg.payload["to_pos"]
+        if not 1 <= j <= inst.n:
+            raise _out_of_range(inst, msg, j)
         if j in inst.final_delivered:
             raise _rejected(inst, msg, j, "duplicate")
         inst.final_delivered.add(j)
@@ -645,7 +664,7 @@ def run_protocol(
         net.record_local(
             party,
             "input",
-            {"party": str(party), "values": list(mv.entries)},
+            {"party": str(party), "values": mv.entries},
         )
     top = engine.new_instance(positions, ttp)
     engine.start(top)

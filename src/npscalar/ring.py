@@ -7,10 +7,21 @@ products. So everything here is a fixed-length vector over Z_modulus.
 
 The default modulus is 2**64 (native wrap-around). A small prime modulus
 is supported so statistical tests can exercise the full ring.
+
+A `ModVector`'s entries are always a non-empty tuple of Python ints in
+[0, modulus). The public constructor establishes that by reducing every
+entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
+it stores the tuple as given, with no copy, no reduction and no length
+check. Use it only for a tuple that is reduced by construction: the result
+of a kernel below, a uniform draw below the modulus, or the entries of
+another `ModVector`. Entries are immutable, so such a tuple can be shared
+between vectors and message payloads.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,10 +63,18 @@ class ModVector:
 
     def __init__(self, entries: Iterable[int], ring: Ring):
         m = ring.modulus
-        self.entries = tuple(e % m for e in entries)
+        self.entries = tuple(operator.index(e) % m for e in entries)
         self.ring = ring
         if not self.entries:
             raise InputShapeError("vectors must have length >= 1")
+
+    @classmethod
+    def _reduced(cls, entries: tuple, ring: Ring) -> "ModVector":
+        """A vector over `entries` as given; see the module docstring."""
+        v = cls.__new__(cls)
+        v.entries = entries
+        v.ring = ring
+        return v
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,24 +106,27 @@ class ModVector:
 
     def add(self, other: "ModVector") -> "ModVector":
         self._check(other)
-        m = self.ring.modulus
-        return ModVector(
-            ((a + b) % m for a, b in zip(self.entries, other.entries)), self.ring
+        reduce = self.ring.modulus.__rmod__
+        return ModVector._reduced(
+            tuple(map(reduce, map(operator.add, self.entries, other.entries))),
+            self.ring,
         )
 
     def sub(self, other: "ModVector") -> "ModVector":
         self._check(other)
-        m = self.ring.modulus
-        return ModVector(
-            ((a - b) % m for a, b in zip(self.entries, other.entries)), self.ring
+        reduce = self.ring.modulus.__rmod__
+        return ModVector._reduced(
+            tuple(map(reduce, map(operator.sub, self.entries, other.entries))),
+            self.ring,
         )
 
     def hadamard(self, other: "ModVector") -> "ModVector":
         """Entrywise product (the product of two diagonal matrices)."""
         self._check(other)
-        m = self.ring.modulus
-        return ModVector(
-            ((a * b) % m for a, b in zip(self.entries, other.entries)), self.ring
+        reduce = self.ring.modulus.__rmod__
+        return ModVector._reduced(
+            tuple(map(reduce, map(operator.mul, self.entries, other.entries))),
+            self.ring,
         )
 
 
@@ -112,6 +134,7 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
     """Trace of the product of the diagonal matrices encoded by `vectors`.
 
     Equals the n-way inner product sum_j prod_i vectors[i][j] mod modulus.
+    The sum is taken over exact integers and reduced once at the end.
     """
     if not vectors:
         raise InputShapeError("product_trace needs at least one vector")
@@ -119,14 +142,7 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
     for v in vectors[1:]:
         if len(v) != length:
             raise InputShapeError("length mismatch in product_trace")
-    m = ring.modulus
-    total = 0
-    for j in range(length):
-        p = 1
-        for v in vectors:
-            p = (p * v.entries[j]) % m
-        total += p
-    return total % m
+    return sum(map(math.prod, zip(*(v.entries for v in vectors)))) % ring.modulus
 
 
 def mask(v: ModVector, r: ModVector) -> ModVector:

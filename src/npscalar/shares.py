@@ -10,26 +10,40 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InstanceShapeError
-from .ring import ModVector, Ring, product_trace
+from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
 
 
 class Rng:
-    """Deterministic seeded randomness: same seed, same stream."""
+    """Deterministic seeded randomness: same seed, same stream.
+
+    Draw rule. Over Z_2**64 an element is one `getrandbits(64)`, and a
+    vector of length L is one `getrandbits(64 * L)` split into L
+    little-endian 64-bit words, so entry j is bits [64 j, 64 j + 64) of the
+    draw. Over any other modulus every element is one `randrange(modulus)`,
+    whose rejection sampling is what makes a draw below a modulus that is
+    not a power of two exactly uniform.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._r = random.Random(seed)
 
     def element(self, ring: Ring) -> int:
+        if ring.modulus == DEFAULT_MODULUS:
+            return self._r.getrandbits(64)
         return self._r.randrange(ring.modulus)
 
     def vector(self, ring: Ring, length: int) -> ModVector:
         if length < 1:
             raise InstanceShapeError("vector length must be >= 1")
+        if ring.modulus == DEFAULT_MODULUS:
+            raw = self._r.getrandbits(64 * length).to_bytes(8 * length, "little")
+            return ModVector._reduced(struct.unpack(f"<{length}Q", raw), ring)
         return ModVector((self._r.randrange(ring.modulus) for _ in range(length)), ring)
 
 

@@ -4,7 +4,6 @@ once and shared with the transcript-invariant and census criteria.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -39,9 +38,9 @@ def _vectors(n, length, seed):
 
 
 def _report(criterion, ok, detail):
-    line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})"
-    # Emit on the real stdout so the verdict survives pytest's capture.
-    print(line, file=sys.__stdout__)
+    # Captured with the test's report; tests/conftest.py prints every
+    # ACCEPTANCE line in the terminal summary (with -s it appears inline).
+    print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
 @pytest.fixture(scope="session")

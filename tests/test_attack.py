@@ -3,8 +3,11 @@ import random
 import pytest
 
 from npscalar import (
+    Message,
+    MessageKind,
     PartyId,
     Policy,
+    Transcript,
     count_instances,
     forced_guess_inputs,
     knowledge_closure,
@@ -13,6 +16,28 @@ from npscalar import (
     scan_mask_safety,
     scan_ttp_rotation,
 )
+
+TTP = PartyId.ttp("ttp")
+HOLDER, OTHER = PartyId.data(1), PartyId.data(2)
+
+
+def _share(seq, recipient):
+    return Message(
+        seq, TTP, recipient, 0, MessageKind.SHARE_DISTRIBUTION, {}, {"mask_id": 0}
+    )
+
+
+def _masked(seq, recipient):
+    return Message(
+        seq, HOLDER, recipient, 0, MessageKind.MASKED_MATRIX, {}, {"mask_id": 0}
+    )
+
+
+def _delivered(*messages):
+    transcript = Transcript()
+    for msg in messages:
+        transcript.append(msg)
+    return transcript
 
 
 def random_vectors(n, length, seed):
@@ -82,6 +107,23 @@ class TestTranscriptScans:
         run = run_protocol(random_vectors(3, 2, 1), seed=1, policy=Policy.FLAWED)
         assert len(scan_ttp_rotation(run.transcript)) == 3  # one per child
         assert scan_mask_safety(run.transcript) != []
+
+    # In the two tests below OTHER receives a copy of mask 0, HOLDER (the
+    # last recipient) holds it, and delivery order differs from seq order.
+
+    def test_mask_safety_flags_mask_known_earlier_in_delivery(self):
+        transcript = _delivered(
+            _share(9, OTHER), _share(1, HOLDER), _masked(5, OTHER)
+        )
+        assert scan_mask_safety(transcript) == [
+            f"seq 5: mask 0 reached knowing party {OTHER}"
+        ]
+
+    def test_mask_safety_ignores_mask_learned_later_in_delivery(self):
+        transcript = _delivered(
+            _masked(9, OTHER), _share(2, OTHER), _share(3, HOLDER)
+        )
+        assert scan_mask_safety(transcript) == []
 
 
 class TestCensus:

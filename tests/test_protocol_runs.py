@@ -213,6 +213,86 @@ class TestDuplicateRejection:
         )
 
 
+class MisroutingNetwork(Network):
+    """Rewrites one position field of the first delivered message that
+    `pick` selects to `value(msg)`."""
+
+    def __init__(self, pick, field, value):
+        super().__init__()
+        self.pick = pick
+        self.field = field
+        self.value = value
+        self.misrouted = None
+
+    def deliver_next(self):
+        msg = super().deliver_next()
+        if msg is not None and self.misrouted is None and self.pick(msg):
+            msg.payload = {**msg.payload, self.field: self.value(msg)}
+            self.misrouted = msg
+        return msg
+
+
+def _top(pick):
+    return lambda msg: msg.instance_id == 0 and pick(msg)
+
+
+MISROUTES = {
+    "ShareDistribution": (_of_kind(MessageKind.SHARE_DISTRIBUTION), "position"),
+    "MaskedMatrixBroadcast-to": (_of_kind(MessageKind.MASKED_MATRIX), "to_pos"),
+    "ChainValue-step": (_chain_to(closing=False), "to_pos"),
+    "ChainValue-closing": (_chain_to(closing=True), "to_pos"),
+    "SubResult": (_of_kind(MessageKind.SUB_RESULT), "to_pos"),
+    "FinalResult": (_of_kind(MessageKind.FINAL_RESULT), "to_pos"),
+}
+
+
+class TestMisrouteRejection:
+    """A message whose position lies outside the (three-position) top
+    instance is rejected by name, before any position is indexed."""
+
+    N = 3
+
+    def _run(self, monkeypatch, pick, field, value):
+        nets = []
+
+        def network():
+            nets.append(MisroutingNetwork(_top(pick), field, value))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(self.N, 2, 11), seed=11)
+        assert nets[0].misrouted is not None
+        return nets[0].misrouted, str(err.value)
+
+    @pytest.mark.parametrize("bad", [0, N + 1])
+    @pytest.mark.parametrize("case", list(MISROUTES))
+    def test_out_of_range(self, case, bad, monkeypatch):
+        pick, field = MISROUTES[case]
+        msg, error = self._run(monkeypatch, pick, field, lambda msg: bad)
+        problem = (
+            "sub-results go to position 1"
+            if msg.kind is MessageKind.SUB_RESULT
+            else f"no such position (1..{self.N})"
+        )
+        assert error == (
+            f"instance 0: {msg.kind.value} at position {bad}: {problem}"
+        )
+
+    @pytest.mark.parametrize("bad", [0, N + 1, "to_pos"])
+    def test_masked_broadcast_from_bad_sender(self, bad, monkeypatch):
+        def value(msg):
+            return msg.payload["to_pos"] if bad == "to_pos" else bad
+
+        msg, error = self._run(
+            monkeypatch, _of_kind(MessageKind.MASKED_MATRIX), "from_pos", value
+        )
+        assert error == (
+            f"instance 0: MaskedMatrixBroadcast at position {msg.payload['to_pos']}: "
+            f"from position {msg.payload['from_pos']}, not another position"
+        )
+
+
 class TestGoldenTranscripts:
     """sha256 of export_jsonl(); a new digest here is a transcript change
     and must be deliberate."""
@@ -221,12 +301,14 @@ class TestGoldenTranscripts:
         "n,length,seed,policy,digest",
         [
             (2, 3, 1, Policy.SECURE,
-             "c504cffa82d27e81f1110c5c78bd26a6b422c855e95c606df72611fb1470534e"),
+             "3ac41f16bf5046f460467a3f68706e6a2a029ee668ca3501e9e059f31ee70be4"),
             (3, 2, 7, Policy.FLAWED,
-             "3e7be54918b53583b82b0932b622571114363e9ee3f8437855bb6aff59766ec9"),
+             "5dcb1995dad5226303485f726068d63c72d943a2873d5b9dd3b5a2cb24e9a421"),
             (4, 4, 3, Policy.SECURE,
-             "13119a3d9a3fcefe37b1f0a9ea56cf61d8cd14a0d94c99b32d1b6b0f13fa1423"),
+             "f3db5317cfcffc01b3b1a06057b2387c2e78096279fd78430c34791b36c74b5a"),
         ],
+        # the digest stays out of the test id, so a re-pin keeps the name
+        ids=["2-3-1-Policy.SECURE", "3-2-7-Policy.FLAWED", "4-4-3-Policy.SECURE"],
     )
     def test_transcript_hash(self, n, length, seed, policy, digest):
         run = run_protocol(random_vectors(n, length, seed), seed=seed, policy=policy)

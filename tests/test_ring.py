@@ -1,3 +1,6 @@
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +86,55 @@ class TestRingProperties:
         a, b, c = vs
         assert product_trace([a, b, c], R64) == product_trace([c, a, b], R64)
         assert product_trace([a, b, c], R64) == product_trace([b, a, c], R64)
+
+
+MODULI = (2, 7, (1 << 61) - 1, 1 << 64)
+
+
+@st.composite
+def vector_sets(draw, min_count=1, max_count=7):
+    """A ring from MODULI and min_count..max_count equal-length vectors of
+    length 1..64, entries already reduced."""
+    ring = Ring(draw(st.sampled_from(MODULI)))
+    length = draw(st.integers(min_value=1, max_value=64))
+    count = draw(st.integers(min_value=min_count, max_value=max_count))
+    entry = st.integers(min_value=0, max_value=ring.modulus - 1)
+    rows = [
+        draw(st.lists(entry, min_size=length, max_size=length)) for _ in range(count)
+    ]
+    return ring, rows
+
+
+class TestKernelsMatchPerEntryReference:
+    @pytest.mark.parametrize(
+        "method,op",
+        [("add", operator.add), ("sub", operator.sub), ("hadamard", operator.mul)],
+    )
+    @given(case=vector_sets(min_count=2, max_count=2))
+    def test_binary_ops(self, method, op, case):
+        ring, (a, b) = case
+        got = getattr(ModVector(a, ring), method)(ModVector(b, ring))
+        assert got.entries == tuple(op(x, y) % ring.modulus for x, y in zip(a, b))
+        assert got.ring == ring
+
+    @given(case=vector_sets())
+    def test_product_trace(self, case):
+        ring, rows = case
+        m = ring.modulus
+        expected = sum(
+            reduce(lambda p, x: p * x % m, column, 1) for column in zip(*rows)
+        ) % m
+        assert product_trace([ModVector(r, ring) for r in rows], ring) == expected
+
+
+def test_product_trace_rejects_empty_input():
+    with pytest.raises(InputShapeError):
+        product_trace([], R64)
+
+
+def test_constructor_rejects_non_integers():
+    with pytest.raises(TypeError):
+        ModVector([1.5], R7)
 
 
 def test_entries_reduced_on_construction():

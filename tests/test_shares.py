@@ -11,6 +11,7 @@ from npscalar import (
     product_trace,
     split_value,
 )
+from npscalar.analysis import uniformity_pvalue
 
 R64 = Ring()
 R7 = Ring(7)
@@ -83,3 +84,54 @@ def test_rng_streams_are_reproducible():
     a, b = Rng(123), Rng(123)
     assert [a.element(R64) for _ in range(10)] == [b.element(R64) for _ in range(10)]
     assert a.vector(R7, 5).entries == b.vector(R7, 5).entries
+
+
+class CountingRandom(random.Random):
+    """A Mersenne Twister that records the size of every getrandbits call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+def counting_rng(seed):
+    rng = Rng(seed)
+    rng._r = CountingRandom(seed)
+    return rng
+
+
+class TestDrawRule:
+    @pytest.mark.parametrize("seed,length", [(0, 1), (7, 5), (123, 64)])
+    def test_r64_vector_is_one_draw_split_little_endian(self, seed, length):
+        rng = counting_rng(seed)
+        got = rng.vector(R64, length)
+        word = random.Random(seed).getrandbits(64 * length)
+        assert got.entries == tuple(
+            (word >> (64 * j)) & (R64.modulus - 1) for j in range(length)
+        )
+        assert rng._r.calls == [64 * length]
+
+    def test_r64_element_is_one_64_bit_draw(self):
+        rng = counting_rng(5)
+        assert [rng.element(R64) for _ in range(3)] == [
+            random.Random(5).getrandbits(192) >> (64 * j) & (R64.modulus - 1)
+            for j in range(3)
+        ]
+        assert rng._r.calls == [64, 64, 64]
+
+    def test_other_moduli_keep_the_randrange_stream(self):
+        assert Rng(5).vector(R7, 12).entries == (4, 2, 5, 2, 6, 5, 6, 5, 5, 4, 0, 6)
+        r = random.Random(9)
+        assert Rng(9).vector(Ring(251), 8).entries == tuple(
+            r.randrange(251) for _ in range(8)
+        )
+
+    def test_r64_low_and_high_bytes_are_uniform(self):
+        rng = Rng(2024)
+        draws = [*rng.vector(R64, 10_000), *(rng.element(R64) for _ in range(10_000))]
+        for byte in ([d & 0xFF for d in draws], [d >> 56 for d in draws]):
+            assert uniformity_pvalue(byte, 256) > 1e-3
