@@ -31,7 +31,6 @@ from .errors import (
 )
 from .parties import PartyId
 from .protocol import (
-    Lifecycle,
     Policy,
     ProtocolEngine,
     RunResult,
@@ -62,7 +61,6 @@ __all__ = [
     "InstanceCensus",
     "InstanceShapeError",
     "KnowledgeSet",
-    "Lifecycle",
     "MaskIdAllocator",
     "Message",
     "MessageKind",

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import InputShapeError, InstanceShapeError
 from .parties import PartyId
-from .ring import ModVector, Ring
+from .ring import ModVector, Ring, product_trace
 from .simnet import MessageKind, Transcript, View
 
 # ---------------------------------------------------------------------------
@@ -113,8 +113,6 @@ def mixed_term(
     """Trace of the product taking data at `kept` positions, masks elsewhere."""
     n = len(data)
     vectors = [data[i - 1] if i in kept else masks[i - 1] for i in range(1, n + 1)]
-    from .ring import product_trace
-
     return product_trace(vectors, ring)
 
 

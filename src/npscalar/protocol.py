@@ -27,6 +27,13 @@ Under FLAWED a party can own several positions of one instance (and even
 be the instance's TTP); the machinery is written per-position so the
 message flow, and therefore the instance census, is identical under both
 policies.
+
+Readiness is per position, not per instance: there is no instance-wide
+phase. A position broadcasts once its share bundle arrives and takes its
+chain step once it holds its bundle, every other masked vector and the
+previous chain value; position 1 aggregates once the closing chain value
+and every sub-result are in. Messages of different positions or stages
+may therefore arrive in any order the causal chain allows.
 """
 
 from __future__ import annotations
@@ -51,15 +58,6 @@ from .simnet import MessageKind, Network, View
 class Policy(Enum):
     SECURE = "secure"
     FLAWED = "flawed"
-
-
-class Lifecycle(Enum):
-    AWAITING_SHARES = "awaiting-shares"
-    MASKING = "masking"
-    CHAIN = "chain"
-    SUB_PROTOCOLS = "sub-protocols"
-    AGGREGATING = "aggregating"
-    DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,6 @@ def aggregate_final(
     output mask into the scalar product."""
     total = chain_last
     for spec, value in sub_results:
-        if value is None:
-            raise ProtocolStateError(f"missing sub-result for {sorted(spec.kept)}")
         total += spec.coefficient * value
     return ring.reduce(total + output_mask)
 
@@ -176,10 +172,12 @@ class _Position:
         "output_mask",
     )
 
-    def __init__(self, owner: PartyId, vector: ModVector, subject: tuple):
+    def __init__(self, owner: PartyId, vector: ModVector, subject: dict):
         self.owner = owner
         self.vector = vector
-        self.subject = subject  # ("input", PartyId) or ("prod", frozenset of mask ids)
+        # what the vector is, as its transcript record; shared, never mutated:
+        # {"kind": "input", "party": ...} or {"kind": "prod", "masks": sorted ids}
+        self.subject = subject
         self.bundle: Optional[ShareBundle] = None
         self.masked: dict[int, ModVector] = {}
         self.chain_prev: Optional[int] = None
@@ -194,34 +192,26 @@ class ProtocolInstance:
         "spec",
         "positions",
         "ttp",
-        "ring",
         "depth",
-        "state",
+        "pending_subs",
         "sub_results",
-        "coefficients",
         "chain_final",
         "result",
-        "shares_delivered",
-        "masked_delivered",
         "final_delivered",
         "ttp_bundles",
     )
 
-    def __init__(self, instance_id, positions, ttp, ring, parent_id=None, spec=None, depth=0):
+    def __init__(self, instance_id, positions, ttp, parent_id=None, spec=None, depth=0):
         self.instance_id = instance_id
         self.positions: list[_Position] = positions
         self.ttp = ttp
-        self.ring = ring
         self.parent_id = parent_id
         self.spec: Optional[SubInstanceSpec] = spec
         self.depth = depth
-        self.state = Lifecycle.AWAITING_SHARES
-        self.sub_results: dict[frozenset, Optional[int]] = {}
-        self.coefficients: dict[frozenset, int] = {}
+        self.pending_subs: dict[frozenset, SubInstanceSpec] = {}  # kept -> spec
+        self.sub_results: list[tuple[SubInstanceSpec, int]] = []
         self.chain_final: Optional[int] = None
         self.result: Optional[int] = None
-        self.shares_delivered = 0
-        self.masked_delivered = 0
         self.final_delivered: set[int] = set()
         self.ttp_bundles: list[ShareBundle] = []
 
@@ -232,12 +222,6 @@ class ProtocolInstance:
     @property
     def participants(self) -> tuple[PartyId, ...]:
         return tuple(p.owner for p in self.positions)
-
-
-def _subject_meta(subject: tuple) -> dict:
-    if subject[0] == "input":
-        return {"kind": "input", "party": str(subject[1])}
-    return {"kind": "prod", "masks": sorted(subject[1])}
 
 
 def _rejected(inst: ProtocolInstance, msg, position: int, problem: str):
@@ -269,9 +253,7 @@ class ProtocolEngine:
     # -- construction ------------------------------------------------------
 
     def new_instance(self, positions, ttp, parent_id=None, spec=None, depth=0):
-        inst = ProtocolInstance(
-            next(self._ids), positions, ttp, self.ring, parent_id, spec, depth
-        )
+        inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, spec, depth)
         self.instances[inst.instance_id] = inst
         return inst
 
@@ -339,11 +321,11 @@ class ProtocolEngine:
             for i in kept
         ]
         collapsed = parent.ttp_bundles[dropped[0] - 1].mask
-        collapsed_ids = {parent.ttp_bundles[dropped[0] - 1].mask_id}
+        collapsed_ids = [parent.ttp_bundles[dropped[0] - 1].mask_id]
         for j in dropped[1:]:
             collapsed = collapsed.hadamard(parent.ttp_bundles[j - 1].mask)
-            collapsed_ids.add(parent.ttp_bundles[j - 1].mask_id)
-        subject = ("prod", frozenset(collapsed_ids))
+            collapsed_ids.append(parent.ttp_bundles[j - 1].mask_id)
+        subject = {"kind": "prod", "masks": sorted(collapsed_ids)}
         positions.append(_Position(parent.ttp, collapsed, subject))
         self.net.record_local(
             parent.ttp,
@@ -351,7 +333,7 @@ class ProtocolEngine:
             {
                 "instance": parent.instance_id,
                 "kept": kept,
-                "subject": _subject_meta(subject),
+                "subject": subject,
                 "values": collapsed.entries,
             },
         )
@@ -363,8 +345,7 @@ class ProtocolEngine:
             spec=spec,
             depth=parent.depth + 1,
         )
-        parent.sub_results[spec.kept] = None
-        parent.coefficients[spec.kept] = spec.coefficient
+        parent.pending_subs[spec.kept] = spec
         return child
 
     # -- dispatch ----------------------------------------------------------
@@ -391,9 +372,6 @@ class ProtocolEngine:
         if pos.bundle is not None:
             raise _rejected(inst, msg, i, "duplicate")
         pos.bundle = inst.ttp_bundles[i - 1]
-        inst.shares_delivered += 1
-        if inst.shares_delivered == inst.n:
-            inst.state = Lifecycle.MASKING
         self._send_masked(inst, i)
         if i == 1:
             self._maybe_start_chain(inst)
@@ -405,7 +383,7 @@ class ProtocolEngine:
         all recipients share one immutable entries tuple."""
         pos = inst.positions[i - 1]
         values = pos.vector.add(pos.bundle.mask).entries
-        meta = {"mask_id": pos.bundle.mask_id, "subject": _subject_meta(pos.subject)}
+        meta = {"mask_id": pos.bundle.mask_id, "subject": pos.subject}
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
                 self.net.send(
@@ -428,9 +406,6 @@ class ProtocolEngine:
         if i in pos.masked:
             raise _rejected(inst, msg, j, f"duplicate from position {i}")
         pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
-        inst.masked_delivered += 1
-        if inst.masked_delivered == inst.n * (inst.n - 1):
-            inst.state = Lifecycle.CHAIN
         if j == 1:
             self._maybe_start_chain(inst)
         else:
@@ -505,9 +480,6 @@ class ProtocolEngine:
                     inst, msg, 1, f"closing index {index}, expected {inst.n}"
                 )
             inst.chain_final = msg.payload["value"]
-            inst.state = (
-                Lifecycle.SUB_PROTOCOLS if inst.sub_results else Lifecycle.AGGREGATING
-            )
             self._maybe_finalize(inst)
         else:
             pos = inst.positions[to_pos - 1]
@@ -523,27 +495,20 @@ class ProtocolEngine:
         if to_pos != 1:
             raise _rejected(inst, msg, to_pos, "sub-results go to position 1")
         kept = frozenset(msg.payload["kept"])
-        if kept not in inst.sub_results:
-            raise _rejected(inst, msg, 1, f"unexpected for kept {sorted(kept)}")
-        if inst.sub_results[kept] is not None:
-            raise _rejected(inst, msg, 1, f"duplicate for kept {sorted(kept)}")
-        inst.sub_results[kept] = msg.payload["value"]
+        spec = inst.pending_subs.pop(kept, None)
+        if spec is None:
+            seen = any(s.kept == kept for s, _ in inst.sub_results)
+            problem = "duplicate" if seen else "unexpected"
+            raise _rejected(inst, msg, 1, f"{problem} for kept {sorted(kept)}")
+        inst.sub_results.append((spec, msg.payload["value"]))
         self._maybe_finalize(inst)
 
     def _maybe_finalize(self, inst: ProtocolInstance) -> None:
-        if inst.result is not None or inst.chain_final is None:
+        if inst.chain_final is None or inst.pending_subs:
             return
-        if None in inst.sub_results.values():
-            return
-        inst.state = Lifecycle.AGGREGATING
-        subs = [
-            (SubInstanceSpec(kept, inst.coefficients[kept]), value)
-            for kept, value in sorted(
-                inst.sub_results.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            )
-        ]
+        output_mask = inst.positions[0].output_mask
         inst.result = aggregate_final(
-            inst.chain_final, subs, inst.positions[0].output_mask, self.ring
+            inst.chain_final, inst.sub_results, output_mask, self.ring
         )
         self._publish(inst)
 
@@ -554,8 +519,6 @@ class ProtocolEngine:
         if j in inst.final_delivered:
             raise _rejected(inst, msg, j, "duplicate")
         inst.final_delivered.add(j)
-        if len(inst.final_delivered) == inst.n:
-            inst.state = Lifecycle.DONE
 
     def _publish(self, inst: ProtocolInstance) -> None:
         first_owner = inst.positions[0].owner
@@ -570,7 +533,6 @@ class ProtocolEngine:
                 )
         else:
             parent = self.instances[inst.parent_id]
-            inst.state = Lifecycle.DONE
             self.net.send(
                 first_owner,
                 parent.positions[0].owner,
@@ -660,7 +622,7 @@ def run_protocol(
     positions = []
     for party, vec in zip(data_parties, vectors):
         mv = ModVector(vec, ring)
-        positions.append(_Position(party, mv, ("input", party)))
+        positions.append(_Position(party, mv, {"kind": "input", "party": str(party)}))
         net.record_local(
             party,
             "input",
@@ -672,11 +634,16 @@ def run_protocol(
     while (msg := net.deliver_next()) is not None:
         engine.dispatch(msg)
 
-    for inst in engine.instances.values():
-        if inst.result is None or inst.state is not Lifecycle.DONE:
-            raise ProtocolStateError(
-                f"instance {inst.instance_id} finished in state {inst.state.value}"
-            )
+    # a child's id exceeds its parent's, so the newest unfinished instance
+    # is the one that lost a message
+    for inst in reversed(engine.instances.values()):
+        if inst.result is None:
+            raise ProtocolStateError(f"instance {inst.instance_id}: no result")
+    if len(top.final_delivered) < top.n:
+        raise ProtocolStateError(
+            f"instance {top.instance_id}: {MessageKind.FINAL_RESULT.value} "
+            f"delivered to {len(top.final_delivered)} of {top.n} positions"
+        )
     return RunResult(
         result=top.result,
         ring=ring,

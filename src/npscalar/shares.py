@@ -30,7 +30,6 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._r = random.Random(seed)
 
     def element(self, ring: Ring) -> int:

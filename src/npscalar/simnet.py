@@ -111,10 +111,6 @@ class Network:
         self._parties.add(party)
         self._local.setdefault(party, [])
 
-    @property
-    def parties(self) -> frozenset:
-        return frozenset(self._parties)
-
     def send(
         self,
         sender: PartyId,

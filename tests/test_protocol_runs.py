@@ -8,16 +8,20 @@ import npscalar.protocol
 from npscalar import (
     InputShapeError,
     InstanceShapeError,
-    Lifecycle,
     MessageKind,
     Network,
+    PartyId,
     Policy,
     ProtocolStateError,
     Ring,
     count_instances,
     mixed_term,
     plaintext_oracle,
+    reconstruct_inputs,
     run_protocol,
+    scan_mask_freshness,
+    scan_mask_safety,
+    scan_ttp_rotation,
 )
 
 R64 = Ring()
@@ -66,12 +70,13 @@ class TestEndToEnd:
         assert run.result == plaintext_oracle(vectors, Ring(251))
 
 
-class TestLifecycleAndStructure:
+class TestCompletionAndStructure:
     def test_all_instances_done_and_depth_bounded(self):
         for n in (2, 3, 4, 5):
             run = run_protocol(random_vectors(n, 2, n), seed=n)
-            states = {i.state for i in run.engine.instances.values()}
-            assert states == {Lifecycle.DONE}
+            insts = run.engine.instances
+            assert all(i.result is not None for i in insts.values())
+            assert insts[0].final_delivered == set(range(1, n + 1))
             assert run.max_depth <= max(n - 2, 0)
 
     def test_executed_counts_match_census(self):
@@ -176,6 +181,14 @@ def _chain_to(closing):
     )
 
 
+def _top(pick):
+    return lambda msg: msg.instance_id == 0 and pick(msg)
+
+
+def _sub(pick):
+    return lambda msg: msg.instance_id != 0 and pick(msg)
+
+
 class TestDuplicateRejection:
     @pytest.mark.parametrize(
         "pick",
@@ -213,6 +226,98 @@ class TestDuplicateRejection:
         )
 
 
+class DroppingNetwork(Network):
+    """Never delivers the first message that `pick` selects."""
+
+    def __init__(self, pick):
+        super().__init__()
+        self.pick = pick
+        self.dropped = None
+
+    def deliver_next(self):
+        if self._pending and self.dropped is None and self.pick(self._pending[0]):
+            self.dropped = self._pending.popleft()
+        return super().deliver_next()
+
+
+class TestDropRejection:
+    """A dropped message leaves the run unfinished; the error names the
+    instance that lost it, even when that instance is a sub-instance."""
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            _sub(_of_kind(MessageKind.SHARE_DISTRIBUTION)),
+            _sub(_of_kind(MessageKind.MASKED_MATRIX)),
+            _sub(_chain_to(closing=False)),
+            _sub(_chain_to(closing=True)),
+            _sub(_of_kind(MessageKind.SUB_RESULT)),
+            _top(_of_kind(MessageKind.FINAL_RESULT)),
+        ],
+        ids=[
+            "sub-ShareDistribution",
+            "sub-MaskedMatrixBroadcast",
+            "sub-ChainValue-step",
+            "sub-ChainValue-closing",
+            "sub-SubResult",
+            "top-FinalResult",
+        ],
+    )
+    def test_drop_raises_and_names_instance(self, pick, monkeypatch):
+        nets = []
+
+        def network():
+            nets.append(DroppingNetwork(pick))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(4, 2, 13), seed=13)
+        msg = nets[0].dropped
+        assert msg is not None
+        assert str(err.value).startswith(f"instance {msg.instance_id}:")
+
+
+class ShufflingNetwork(Network):
+    """Delivers a seeded-random pending message instead of the oldest: any
+    such order is a legal schedule, since a message is pending only once
+    the step that sends it has run."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._order = random.Random(seed)
+
+    def deliver_next(self):
+        if self._pending:
+            self._pending.rotate(-self._order.randrange(len(self._pending)))
+        return super().deliver_next()
+
+
+class TestShuffledDelivery:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_any_order_gives_the_fifo_outcome(self, n, policy, seed, monkeypatch):
+        monkeypatch.setattr(
+            npscalar.protocol, "Network", lambda: ShufflingNetwork(seed)
+        )
+        vectors = random_vectors(n, 2, seed * 17 + n)
+        run = run_protocol(vectors, seed=seed, policy=policy)
+        census = count_instances(n)
+        assert isinstance(run.net, ShufflingNetwork)
+        assert run.result == plaintext_oracle(vectors, R64)
+        assert run.instance_count == census.total_instances
+        assert run.message_count == census.messages
+        if policy is Policy.SECURE:
+            assert scan_ttp_rotation(run.transcript) == []
+            assert scan_mask_safety(run.transcript) == []
+            assert scan_mask_freshness(run.transcript) == []
+        elif n >= 3:
+            recovered = reconstruct_inputs(run.view_of(run.ttp))
+            for i, truth in enumerate(vectors, start=1):
+                assert recovered[PartyId.data(i)] == tuple(truth)
+
+
 class MisroutingNetwork(Network):
     """Rewrites one position field of the first delivered message that
     `pick` selects to `value(msg)`."""
@@ -230,10 +335,6 @@ class MisroutingNetwork(Network):
             msg.payload = {**msg.payload, self.field: self.value(msg)}
             self.misrouted = msg
         return msg
-
-
-def _top(pick):
-    return lambda msg: msg.instance_id == 0 and pick(msg)
 
 
 MISROUTES = {
