@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import InputShapeError, InstanceShapeError
@@ -149,18 +150,13 @@ def _input_atom(party: str) -> str:
 def knowledge_closure(view: View) -> KnowledgeSet:
     """Fixpoint of the syntactic derivation rule over one party's view.
 
-    Seed atoms: own inputs, masks the party generated, masks it received.
-    A masked vector reveals its subject iff the blinding mask's id is
-    already in the set; a collapsed product is derivable iff every factor
-    mask is known.
+    Seed atoms: own inputs and the masks of every share distribution the
+    party sent or received. A masked vector reveals its subject iff the
+    blinding mask's id is already in the set; a collapsed product is
+    derivable iff every factor mask is known.
     """
-    atoms: set[str] = set()
-    for rec in view.own_inputs:
-        atoms.add(_input_atom(rec["party"]))
-    for rec in view.generated_randomness:
-        if rec["kind"] == "bundle":
-            atoms.add(_mask_atom(rec["mask_id"]))
-    for msg in view.received_messages:
+    atoms = {_input_atom(rec["party"]) for rec in view.own_inputs}
+    for msg in (*view.sent_messages, *view.received_messages):
         if msg.kind is MessageKind.SHARE_DISTRIBUTION:
             atoms.add(_mask_atom(msg.meta["mask_id"]))
     for msg in view.received_messages:
@@ -177,15 +173,12 @@ def knowledge_closure(view: View) -> KnowledgeSet:
 
 
 def _known_mask_values(view: View) -> dict:
-    """Mask values present in the view: generated by the party or received."""
-    values: dict[int, tuple] = {}
-    for rec in view.generated_randomness:
-        if rec["kind"] == "bundle":
-            values[rec["mask_id"]] = tuple(rec["mask"])
-    for msg in view.received_messages:
-        if msg.kind is MessageKind.SHARE_DISTRIBUTION:
-            values[msg.meta["mask_id"]] = tuple(msg.payload["mask"])
-    return values
+    """Mask values present in the view: sent by the party or received."""
+    return {
+        msg.meta["mask_id"]: tuple(msg.payload["mask"])
+        for msg in (*view.sent_messages, *view.received_messages)
+        if msg.kind is MessageKind.SHARE_DISTRIBUTION
+    }
 
 
 def reconstruct_inputs(view: View) -> dict:
@@ -219,15 +212,16 @@ def forced_guess_inputs(view: View) -> dict:
     """What the attack yields if the adversary wrongly assumes sub-instance
     masks are the ones it already holds for the same party.
 
-    For each received masked input vector with an unknown mask, subtract a
-    mask the viewer generated for that party in some other instance. The
-    guesses mismatch the true data except with vanishing probability.
+    For each received masked input vector with an unknown mask, subtract
+    the first mask (lowest seq) the viewer sent that party in some other
+    instance. The guesses mismatch the true data except with vanishing
+    probability.
     """
     modulus = view.ring.modulus
     by_holder: dict[str, tuple] = {}
-    for rec in view.generated_randomness:
-        if rec["kind"] == "bundle" and rec["holder"] not in by_holder:
-            by_holder[rec["holder"]] = tuple(rec["mask"])
+    for msg in sorted(view.sent_messages, key=attrgetter("seq")):
+        if msg.kind is MessageKind.SHARE_DISTRIBUTION:
+            by_holder.setdefault(msg.meta["holder"], tuple(msg.payload["mask"]))
     known = _known_mask_values(view)
     guesses: dict[PartyId, tuple] = {}
     for msg in view.received_messages:

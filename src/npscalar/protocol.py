@@ -224,17 +224,26 @@ class ProtocolInstance:
         return tuple(p.owner for p in self.positions)
 
 
-def _rejected(inst: ProtocolInstance, msg, position: int, problem: str):
-    """The error for a message the instance's state does not admit; it
-    names the instance, the message kind and the receiving position."""
+def _rejected(inst: ProtocolInstance, kind: MessageKind, position: int, problem: str):
+    """The error for a message the instance's state does not admit, or one
+    it never got; it names the instance, the message kind and the
+    receiving position."""
     return ProtocolStateError(
-        f"instance {inst.instance_id}: {msg.kind.value} "
-        f"at position {position}: {problem}"
+        f"instance {inst.instance_id}: {kind.value} at position {position}: {problem}"
     )
 
 
 def _out_of_range(inst: ProtocolInstance, msg, position: int):
-    return _rejected(inst, msg, position, f"no such position (1..{inst.n})")
+    return _rejected(inst, msg.kind, position, f"no such position (1..{inst.n})")
+
+
+def _check_party(inst, msg, position: int, role: str, party, expected) -> None:
+    """Reject a message whose sender or recipient is not the party the
+    instance expects. Owners are the very objects passed to `send`, so
+    identity settles the check without the dataclass `__eq__`."""
+    if party is not expected and party != expected:
+        problem = f"{role} {party}, expected {expected}"
+        raise _rejected(inst, msg.kind, position, problem)
 
 
 class ProtocolEngine:
@@ -274,18 +283,6 @@ class ProtocolEngine:
         )
         inst.ttp_bundles = bundles
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
-            self.net.record_local(
-                inst.ttp,
-                "bundle",
-                {
-                    "instance": inst.instance_id,
-                    "position": i,
-                    "mask_id": bundle.mask_id,
-                    "holder": str(pos.owner),
-                    "mask": bundle.mask.entries,
-                    "share": bundle.share,
-                },
-            )
             self.net.send(
                 inst.ttp,
                 pos.owner,
@@ -327,16 +324,6 @@ class ProtocolEngine:
             collapsed_ids.append(parent.ttp_bundles[j - 1].mask_id)
         subject = {"kind": "prod", "masks": sorted(collapsed_ids)}
         positions.append(_Position(parent.ttp, collapsed, subject))
-        self.net.record_local(
-            parent.ttp,
-            "collapsed_input",
-            {
-                "instance": parent.instance_id,
-                "kept": kept,
-                "subject": subject,
-                "values": collapsed.entries,
-            },
-        )
         ttp = assign_ttp([p.owner for p in positions], self.policy, parent.ttp, self.pool)
         child = self.new_instance(
             positions,
@@ -369,14 +356,13 @@ class ProtocolEngine:
         if not 1 <= i <= inst.n:
             raise _out_of_range(inst, msg, i)
         pos = inst.positions[i - 1]
+        _check_party(inst, msg, i, "sender", msg.sender, inst.ttp)
+        _check_party(inst, msg, i, "recipient", msg.recipient, pos.owner)
         if pos.bundle is not None:
-            raise _rejected(inst, msg, i, "duplicate")
+            raise _rejected(inst, msg.kind, i, "duplicate")
         pos.bundle = inst.ttp_bundles[i - 1]
         self._send_masked(inst, i)
-        if i == 1:
-            self._maybe_start_chain(inst)
-        else:
-            self._maybe_step(inst, i)
+        self._maybe_chain(inst, i)
 
     def _send_masked(self, inst: ProtocolInstance, i: int) -> None:
         """Broadcast position i's masked vector to every other position;
@@ -401,64 +387,50 @@ class ProtocolEngine:
         if not 1 <= j <= inst.n:
             raise _out_of_range(inst, msg, j)
         if i == j or not 1 <= i <= inst.n:
-            raise _rejected(inst, msg, j, f"from position {i}, not another position")
+            problem = f"from position {i}, not another position"
+            raise _rejected(inst, msg.kind, j, problem)
         pos = inst.positions[j - 1]
+        _check_party(inst, msg, j, "sender", msg.sender, inst.positions[i - 1].owner)
+        _check_party(inst, msg, j, "recipient", msg.recipient, pos.owner)
         if i in pos.masked:
-            raise _rejected(inst, msg, j, f"duplicate from position {i}")
+            raise _rejected(inst, msg.kind, j, f"duplicate from position {i}")
         pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
-        if j == 1:
-            self._maybe_start_chain(inst)
-        else:
-            self._maybe_step(inst, j)
+        self._maybe_chain(inst, j)
 
     # -- chain -------------------------------------------------------------
 
-    def _maybe_start_chain(self, inst: ProtocolInstance) -> None:
-        pos = inst.positions[0]
-        m = inst.n
-        if pos.chain_sent or pos.bundle is None or len(pos.masked) < m - 1:
-            return
-        pos.output_mask = self.rng.element(self.ring)
-        self.net.record_local(
-            pos.owner,
-            "output_mask",
-            {"instance": inst.instance_id, "value": pos.output_mask},
-        )
-        first = chain_init(
-            pos.vector,
-            pos.masked.values(),
-            pos.bundle.share,
-            pos.output_mask,
-            self.ring,
-        )
-        pos.chain_sent = True
-        self.net.send(
-            pos.owner,
-            inst.positions[1].owner,
-            inst.instance_id,
-            MessageKind.CHAIN_VALUE,
-            {"index": 1, "to_pos": 2, "value": first},
-        )
-
-    def _maybe_step(self, inst: ProtocolInstance, i: int) -> None:
+    def _maybe_chain(self, inst: ProtocolInstance, i: int) -> None:
+        """Position i's chain step, once it holds its bundle, every other
+        masked vector and, past position 1, the previous chain value.
+        Position 1 draws the output mask and opens the chain."""
         pos = inst.positions[i - 1]
         m = inst.n
         if (
             pos.chain_sent
             or pos.bundle is None
-            or pos.chain_prev is None
             or len(pos.masked) < m - 1
+            or (i > 1 and pos.chain_prev is None)
         ):
             return
-        value = chain_step(
-            pos.chain_prev,
-            pos.bundle.mask,
-            pos.masked.values(),
-            pos.bundle.share,
-            self.ring,
-        )
+        if i == 1:
+            pos.output_mask = self.rng.element(self.ring)
+            value = chain_init(
+                pos.vector,
+                pos.masked.values(),
+                pos.bundle.share,
+                pos.output_mask,
+                self.ring,
+            )
+        else:
+            value = chain_step(
+                pos.chain_prev,
+                pos.bundle.mask,
+                pos.masked.values(),
+                pos.bundle.share,
+                self.ring,
+            )
         pos.chain_sent = True
-        nxt = i + 1 if i < m else 1
+        nxt = i % m + 1
         self.net.send(
             pos.owner,
             inst.positions[nxt - 1].owner,
@@ -472,34 +444,40 @@ class ProtocolEngine:
         index = msg.payload["index"]
         if not 1 <= to_pos <= inst.n:
             raise _out_of_range(inst, msg, to_pos)
+        pos = inst.positions[to_pos - 1]
+        _check_party(inst, msg, to_pos, "recipient", msg.recipient, pos.owner)
+        prev = inst.positions[to_pos - 2]  # position to_pos - 1; m before 1
+        _check_party(inst, msg, to_pos, "sender", msg.sender, prev.owner)
         if to_pos == 1:
             if inst.chain_final is not None:
-                raise _rejected(inst, msg, 1, "duplicate closing value")
+                raise _rejected(inst, msg.kind, 1, "duplicate closing value")
             if index != inst.n:
                 raise _rejected(
-                    inst, msg, 1, f"closing index {index}, expected {inst.n}"
+                    inst, msg.kind, 1, f"closing index {index}, expected {inst.n}"
                 )
             inst.chain_final = msg.payload["value"]
             self._maybe_finalize(inst)
         else:
-            pos = inst.positions[to_pos - 1]
             if index != to_pos - 1 or pos.chain_prev is not None:
-                raise _rejected(inst, msg, to_pos, f"out-of-order index {index}")
+                raise _rejected(inst, msg.kind, to_pos, f"out-of-order index {index}")
             pos.chain_prev = msg.payload["value"]
-            self._maybe_step(inst, to_pos)
+            self._maybe_chain(inst, to_pos)
 
     # -- aggregation -------------------------------------------------------
 
     def _on_sub_result(self, inst: ProtocolInstance, msg) -> None:
         to_pos = msg.payload["to_pos"]
         if to_pos != 1:
-            raise _rejected(inst, msg, to_pos, "sub-results go to position 1")
+            raise _rejected(inst, msg.kind, to_pos, "sub-results go to position 1")
+        _check_party(inst, msg, 1, "recipient", msg.recipient, inst.positions[0].owner)
         kept = frozenset(msg.payload["kept"])
         spec = inst.pending_subs.pop(kept, None)
         if spec is None:
             seen = any(s.kept == kept for s, _ in inst.sub_results)
             problem = "duplicate" if seen else "unexpected"
-            raise _rejected(inst, msg, 1, f"{problem} for kept {sorted(kept)}")
+            raise _rejected(inst, msg.kind, 1, f"{problem} for kept {sorted(kept)}")
+        first = inst.positions[min(kept) - 1]  # the child's position 1
+        _check_party(inst, msg, 1, "sender", msg.sender, first.owner)
         inst.sub_results.append((spec, msg.payload["value"]))
         self._maybe_finalize(inst)
 
@@ -516,8 +494,11 @@ class ProtocolEngine:
         j = msg.payload["to_pos"]
         if not 1 <= j <= inst.n:
             raise _out_of_range(inst, msg, j)
+        owner = inst.positions[j - 1].owner
+        _check_party(inst, msg, j, "recipient", msg.recipient, owner)
+        _check_party(inst, msg, j, "sender", msg.sender, inst.positions[0].owner)
         if j in inst.final_delivered:
-            raise _rejected(inst, msg, j, "duplicate")
+            raise _rejected(inst, msg.kind, j, "duplicate")
         inst.final_delivered.add(j)
 
     def _publish(self, inst: ProtocolInstance) -> None:
@@ -588,6 +569,27 @@ class RunResult:
         return self.net.view_of(party, self.ring)
 
 
+def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
+    """The error for an instance that ended without a result. It names the
+    earliest piece that never arrived, in this order: a bundle, a masked
+    vector, a chain value, the closing chain value, a sub-result."""
+    for i, pos in enumerate(inst.positions, start=1):
+        if pos.bundle is None:
+            return _rejected(inst, MessageKind.SHARE_DISTRIBUTION, i, "missing")
+    for j, pos in enumerate(inst.positions, start=1):
+        for i in range(1, inst.n + 1):
+            if i != j and i not in pos.masked:
+                problem = f"missing from position {i}"
+                return _rejected(inst, MessageKind.MASKED_MATRIX, j, problem)
+    for j, pos in enumerate(inst.positions[1:], start=2):
+        if pos.chain_prev is None:
+            return _rejected(inst, MessageKind.CHAIN_VALUE, j, "missing")
+    if inst.chain_final is None:
+        return _rejected(inst, MessageKind.CHAIN_VALUE, 1, "missing closing value")
+    kept = sorted(next(iter(inst.pending_subs)))
+    return _rejected(inst, MessageKind.SUB_RESULT, 1, f"missing for kept {kept}")
+
+
 def run_protocol(
     vectors: Sequence[Sequence[int]],
     *,
@@ -638,12 +640,10 @@ def run_protocol(
     # is the one that lost a message
     for inst in reversed(engine.instances.values()):
         if inst.result is None:
-            raise ProtocolStateError(f"instance {inst.instance_id}: no result")
-    if len(top.final_delivered) < top.n:
-        raise ProtocolStateError(
-            f"instance {top.instance_id}: {MessageKind.FINAL_RESULT.value} "
-            f"delivered to {len(top.final_delivered)} of {top.n} positions"
-        )
+            raise _stalled(inst)
+    for j in range(1, top.n + 1):
+        if j not in top.final_delivered:
+            raise _rejected(top, MessageKind.FINAL_RESULT, j, "missing")
     return RunResult(
         result=top.result,
         ring=ring,

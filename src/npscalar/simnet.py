@@ -3,7 +3,7 @@
 One global sequence number orders all traffic; delivery pops the lowest
 sequence number still pending, which trivially preserves per-channel FIFO.
 Every delivered message is appended to an append-only transcript, and each
-party's view (received messages plus locally generated values) can be
+party's view (its own inputs plus the messages it sent and received) can be
 projected out after the run.
 
 The `meta` sidecar on a message carries mask/share identifiers so that
@@ -88,12 +88,13 @@ class Transcript:
 
 @dataclass
 class View:
-    """Everything one party legitimately sees during a run."""
+    """Everything one party legitimately sees during a run: its own inputs
+    and the delivered messages it sent or received, nothing else."""
 
     party: PartyId
     ring: Ring
     own_inputs: list = field(default_factory=list)
-    generated_randomness: list = field(default_factory=list)
+    sent_messages: list = field(default_factory=list)
     received_messages: list = field(default_factory=list)
 
 
@@ -104,11 +105,9 @@ class Network:
         self._seq = 0
         self._pending: deque[Message] = deque()
         self.transcript = Transcript()
-        self._parties: set[PartyId] = set()
-        self._local: dict[PartyId, list] = {}
+        self._local: dict[PartyId, list] = {}  # registered party -> input records
 
     def register(self, party: PartyId) -> None:
-        self._parties.add(party)
         self._local.setdefault(party, [])
 
     def send(
@@ -120,9 +119,9 @@ class Network:
         payload: dict,
         meta: Optional[dict] = None,
     ) -> Message:
-        if recipient not in self._parties:
+        if recipient not in self._local:
             raise RoutingError(f"unknown recipient {recipient}")
-        if sender not in self._parties:
+        if sender not in self._local:
             raise RoutingError(f"unknown sender {sender}")
         msg = Message(self._seq, sender, recipient, instance_id, kind, payload, meta or {})
         self._seq += 1
@@ -141,18 +140,17 @@ class Network:
         return not self._pending
 
     def record_local(self, party: PartyId, kind: str, data: dict) -> None:
-        if party not in self._parties:
+        if party not in self._local:
             raise RoutingError(f"unknown party {party}")
         self._local[party].append({"kind": kind, **data})
 
     def view_of(self, party: PartyId, ring: Ring) -> View:
-        if party not in self._parties:
+        if party not in self._local:
             raise RoutingError(f"unknown party {party}")
-        local = self._local.get(party, [])
         return View(
             party=party,
             ring=ring,
-            own_inputs=[r for r in local if r["kind"] == "input"],
-            generated_randomness=[r for r in local if r["kind"] != "input"],
+            own_inputs=list(self._local[party]),
+            sent_messages=[m for m in self.transcript if m.sender == party],
             received_messages=[m for m in self.transcript if m.recipient == party],
         )

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from npscalar import (
     PartyId,
     Policy,
     Transcript,
+    View,
     count_instances,
     forced_guess_inputs,
     knowledge_closure,
@@ -38,6 +40,23 @@ def _delivered(*messages):
     for msg in messages:
         transcript.append(msg)
     return transcript
+
+
+def _parse_export(text):
+    """Messages rebuilt from `export_jsonl()` records. Tuples come back as
+    lists, which the analysis reads the same way."""
+    return [
+        Message(
+            rec["seq"],
+            PartyId.from_str(rec["from"]),
+            PartyId.from_str(rec["to"]),
+            rec["instance"],
+            MessageKind(rec["kind"]),
+            rec["payload"],
+            rec["meta"],
+        )
+        for rec in map(json.loads, text.splitlines())
+    ]
 
 
 def random_vectors(n, length, seed):
@@ -71,6 +90,27 @@ class TestReconstruction:
         assert guesses  # the stale-mask guess exists for every data party
         for party, guess in guesses.items():
             assert guess != vectors[party.index - 1]
+
+
+class TestOfflineAudit:
+    """The attack needs only an exported transcript: a party's view is the
+    messages it sent and received."""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reconstruction_from_export(self, n, policy):
+        vectors = random_vectors(n, 2, seed=n * 13)
+        run = run_protocol(vectors, seed=6, policy=policy)
+        messages = _parse_export(run.transcript.export_jsonl())
+        offline = View(
+            party=run.ttp,
+            ring=run.ring,
+            sent_messages=[m for m in messages if m.sender == run.ttp],
+            received_messages=[m for m in messages if m.recipient == run.ttp],
+        )
+        recovered = reconstruct_inputs(offline)
+        assert recovered == reconstruct_inputs(run.view_of(run.ttp))
+        assert len(recovered) == (n if policy is Policy.FLAWED else 0)
 
 
 class TestKnowledgeClosure:

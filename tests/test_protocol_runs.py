@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -189,6 +190,12 @@ def _sub(pick):
     return lambda msg: msg.instance_id != 0 and pick(msg)
 
 
+def _named(msg):
+    """How an error names `msg`: its instance, kind and receiving position."""
+    position = msg.payload.get("to_pos", msg.payload.get("position"))
+    return f"instance {msg.instance_id}: {msg.kind.value} at position {position}:"
+
+
 class TestDuplicateRejection:
     @pytest.mark.parametrize(
         "pick",
@@ -220,10 +227,7 @@ class TestDuplicateRejection:
         with pytest.raises(ProtocolStateError) as err:
             run_protocol(random_vectors(3, 2, 11), seed=11)
         msg = nets[0].duplicated
-        position = msg.payload.get("to_pos", msg.payload.get("position"))
-        assert str(err.value).startswith(
-            f"instance {msg.instance_id}: {msg.kind.value} at position {position}:"
-        )
+        assert str(err.value).startswith(_named(msg))
 
 
 class DroppingNetwork(Network):
@@ -242,7 +246,8 @@ class DroppingNetwork(Network):
 
 class TestDropRejection:
     """A dropped message leaves the run unfinished; the error names the
-    instance that lost it, even when that instance is a sub-instance."""
+    instance that lost it, even when that is a sub-instance, and the kind
+    and receiving position of the missing message."""
 
     @pytest.mark.parametrize(
         "pick",
@@ -264,6 +269,23 @@ class TestDropRejection:
         ],
     )
     def test_drop_raises_and_names_instance(self, pick, monkeypatch):
+        self._check(monkeypatch, pick, random_vectors(4, 2, 13), seed=13)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_drop_raises_and_names_it(self, seed, monkeypatch):
+        n = 3 + seed % 3
+        order = random.Random(seed)
+        drop_at = order.randrange(count_instances(n).messages)
+        heads = itertools.count()
+        self._check(
+            monkeypatch,
+            lambda msg: next(heads) == drop_at,
+            random_vectors(n, 2, seed),
+            seed=seed,
+            policy=list(Policy)[seed % 2],
+        )
+
+    def _check(self, monkeypatch, pick, vectors, **options):
         nets = []
 
         def network():
@@ -272,10 +294,10 @@ class TestDropRejection:
 
         monkeypatch.setattr(npscalar.protocol, "Network", network)
         with pytest.raises(ProtocolStateError) as err:
-            run_protocol(random_vectors(4, 2, 13), seed=13)
+            run_protocol(vectors, **options)
         msg = nets[0].dropped
         assert msg is not None
-        assert str(err.value).startswith(f"instance {msg.instance_id}:")
+        assert str(err.value).startswith(_named(msg))
 
 
 class ShufflingNetwork(Network):
@@ -319,8 +341,9 @@ class TestShuffledDelivery:
 
 
 class MisroutingNetwork(Network):
-    """Rewrites one position field of the first delivered message that
-    `pick` selects to `value(msg)`."""
+    """Rewrites one field of the first delivered message that `pick`
+    selects to `value(msg)`: its sender, its recipient or a payload
+    position."""
 
     def __init__(self, pick, field, value):
         super().__init__()
@@ -332,7 +355,10 @@ class MisroutingNetwork(Network):
     def deliver_next(self):
         msg = super().deliver_next()
         if msg is not None and self.misrouted is None and self.pick(msg):
-            msg.payload = {**msg.payload, self.field: self.value(msg)}
+            if self.field in ("sender", "recipient"):
+                setattr(msg, self.field, self.value(msg))
+            else:
+                msg.payload = {**msg.payload, self.field: self.value(msg)}
             self.misrouted = msg
         return msg
 
@@ -349,7 +375,9 @@ MISROUTES = {
 
 class TestMisrouteRejection:
     """A message whose position lies outside the (three-position) top
-    instance is rejected by name, before any position is indexed."""
+    instance is rejected by name, before any position is indexed; so is one
+    delivered to, or sent by, a party other than the one the position
+    names. Position p of the top instance is owned by data party p."""
 
     N = 3
 
@@ -392,6 +420,32 @@ class TestMisrouteRejection:
             f"instance 0: MaskedMatrixBroadcast at position {msg.payload['to_pos']}: "
             f"from position {msg.payload['from_pos']}, not another position"
         )
+
+    @pytest.mark.parametrize("case", list(MISROUTES))
+    def test_wrong_recipient(self, case, monkeypatch):
+        pick, field = MISROUTES[case]
+
+        def other_party(msg):
+            return PartyId.data(msg.payload[field] % self.N + 1)
+
+        msg, error = self._run(monkeypatch, pick, "recipient", other_party)
+        expected = f"p{msg.payload[field]}"
+        assert error == f"{_named(msg)} recipient {msg.recipient}, expected {expected}"
+
+    @pytest.mark.parametrize("case", list(MISROUTES))
+    def test_wrong_sender(self, case, monkeypatch):
+        pick, _ = MISROUTES[case]
+        senders = []
+
+        def other_party(msg):
+            # the TTP sends only shares in the top instance, and a share
+            # never goes to the TTP
+            senders.append(msg.sender)
+            return msg.recipient if msg.sender.is_ttp else PartyId.ttp("ttp")
+
+        msg, error = self._run(monkeypatch, pick, "sender", other_party)
+        expected = senders[0]
+        assert error == f"{_named(msg)} sender {msg.sender}, expected {expected}"
 
 
 class TestGoldenTranscripts:

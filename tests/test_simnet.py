@@ -4,6 +4,7 @@ from npscalar import (
     MessageKind,
     Network,
     PartyId,
+    Policy,
     Ring,
     RoutingError,
     run_protocol,
@@ -90,7 +91,25 @@ class TestViews:
 
     def test_views_partition_transcript(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2)
-        union = []
+        received, sent = [], []
         for party in (*run.data_parties, run.ttp):
-            union += [m.seq for m in run.view_of(party).received_messages]
-        assert sorted(union) == [m.seq for m in run.transcript]
+            received += [m.seq for m in run.view_of(party).received_messages]
+            sent += [m.seq for m in run.view_of(party).sent_messages]
+        assert sorted(received) == sorted(sent) == [m.seq for m in run.transcript]
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_sent_shares_are_the_bundles_generated(self, policy):
+        run = run_protocol([(1, 2), (3, 4), (5, 6), (7, 8)], seed=3, policy=policy)
+        for party in (*run.data_parties, run.ttp):
+            sent = [
+                m.meta["mask_id"]
+                for m in run.view_of(party).sent_messages
+                if m.kind is MessageKind.SHARE_DISTRIBUTION
+            ]
+            generated = [
+                b.mask_id
+                for inst in run.engine.instances.values()
+                if inst.ttp == party
+                for b in inst.ttp_bundles
+            ]
+            assert sorted(sent) == sorted(generated)
