@@ -18,6 +18,26 @@ class PartyId:
     index: int = 0
     label: str = ""
 
+    # Every send, routing check and view hashes or compares parties, so the
+    # fields' tuple and its hash are computed once. The hash depends on the
+    # process's string hashing, so a pickle carries only the fields and the
+    # constructor recomputes it.
+    def __post_init__(self):
+        key = (self.kind, self.index, self.label)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __reduce__(self):
+        return (self.__class__, self._key)
+
     @classmethod
     def data(cls, index: int) -> "PartyId":
         if index < 1:

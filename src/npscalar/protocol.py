@@ -38,6 +38,7 @@ may therefore arrive in any order the causal chain allows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -88,6 +89,21 @@ def enumerate_sub_instances(n: int) -> list[SubInstanceSpec]:
         for combo in itertools.combinations(range(1, n + 1), t):
             specs.append(SubInstanceSpec(frozenset(combo), n - 1 - t))
     return specs
+
+
+@functools.cache
+def _sub_plan(m: int) -> tuple:
+    """Every sub-instance of an m-position instance as (spec, kept positions
+    in order, dropped positions in order). Built once per size and shared by
+    every instance of that size; all of it is immutable."""
+    return tuple(
+        (
+            spec,
+            tuple(sorted(spec.kept)),
+            tuple(j for j in range(1, m + 1) if j not in spec.kept),
+        )
+        for spec in enumerate_sub_instances(m)
+    )
 
 
 def assign_ttp(
@@ -176,13 +192,18 @@ class _Position:
         self.owner = owner
         self.vector = vector
         # what the vector is, as its transcript record; shared, never mutated:
-        # {"kind": "input", "party": ...} or {"kind": "prod", "masks": sorted ids}
+        # {"kind": "input", "party": ...} or {"kind": "prod", "masks": (sorted ids)}
         self.subject = subject
         self.bundle: Optional[ShareBundle] = None
-        self.masked: dict[int, ModVector] = {}
+        # from_pos -> masked vector; None once the chain value is sent, as
+        # every other masked vector has arrived by then
+        self.masked: Optional[dict[int, ModVector]] = {}
         self.chain_prev: Optional[int] = None
         self.chain_sent = False
         self.output_mask: Optional[int] = None
+
+
+_NO_POSITIONS: frozenset = frozenset()
 
 
 class ProtocolInstance:
@@ -190,6 +211,7 @@ class ProtocolInstance:
         "instance_id",
         "parent_id",
         "spec",
+        "kept",
         "positions",
         "ttp",
         "depth",
@@ -201,18 +223,23 @@ class ProtocolInstance:
         "ttp_bundles",
     )
 
-    def __init__(self, instance_id, positions, ttp, parent_id=None, spec=None, depth=0):
+    def __init__(
+        self, instance_id, positions, ttp, parent_id=None, spec=None, kept=(), depth=0
+    ):
         self.instance_id = instance_id
         self.positions: list[_Position] = positions
         self.ttp = ttp
         self.parent_id = parent_id
         self.spec: Optional[SubInstanceSpec] = spec
+        self.kept: tuple[int, ...] = kept  # spec.kept in order; () at the top
         self.depth = depth
         self.pending_subs: dict[frozenset, SubInstanceSpec] = {}  # kept -> spec
         self.sub_results: list[tuple[SubInstanceSpec, int]] = []
         self.chain_final: Optional[int] = None
         self.result: Optional[int] = None
-        self.final_delivered: set[int] = set()
+        # positions that got the published result; only the top instance
+        # publishes, so the others keep one shared empty set
+        self.final_delivered: frozenset[int] = _NO_POSITIONS
         self.ttp_bundles: list[ShareBundle] = []
 
     @property
@@ -258,25 +285,30 @@ class ProtocolEngine:
         self.instances: dict[int, ProtocolInstance] = {}
         self._ids = itertools.count()
         self.mask_ids = MaskIdAllocator()
+        # (participants, parent TTP) -> TTP; exact, as the policy and the
+        # pool are fixed for the run
+        self._ttps: dict[tuple, PartyId] = {}
 
     # -- construction ------------------------------------------------------
 
-    def new_instance(self, positions, ttp, parent_id=None, spec=None, depth=0):
-        inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, spec, depth)
+    def new_instance(self, positions, ttp, parent_id=None, spec=None, kept=(), depth=0):
+        inst = ProtocolInstance(
+            next(self._ids), positions, ttp, parent_id, spec, kept, depth
+        )
         self.instances[inst.instance_id] = inst
         return inst
 
     def start(self, inst: ProtocolInstance) -> None:
-        m = inst.n
+        m = len(inst.positions)
         if m < 2:
             raise InstanceShapeError("instances need at least 2 positions")
         if self.policy is Policy.SECURE and inst.ttp in inst.participants:
             raise TtpAssignmentError(
                 f"{inst.ttp} cannot generate shares for an instance it joins"
             )
-        length = len(inst.positions[0].vector)
+        length = len(inst.positions[0].vector.entries)
         for pos in inst.positions:
-            if len(pos.vector) != length:
+            if len(pos.vector.entries) != length:
                 raise InputShapeError("instance vectors must share one length")
         bundles = generate_share_bundles(
             m, length, self.ring, self.rng, ids=self.mask_ids
@@ -295,41 +327,50 @@ class ProtocolEngine:
                 },
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
             )
-        for spec in enumerate_sub_instances(m):
-            self.start(self.spawn_sub_instance(inst, spec))
+        for spec, kept, dropped in _sub_plan(m):
+            self.start(self.spawn_sub_instance(inst, spec, kept, dropped))
 
     def spawn_sub_instance(
-        self, parent: ProtocolInstance, spec: SubInstanceSpec
+        self,
+        parent: ProtocolInstance,
+        spec: SubInstanceSpec,
+        kept: tuple[int, ...],
+        dropped: tuple[int, ...],
     ) -> ProtocolInstance:
-        """Build the child instance for one kept subset of parent positions.
+        """Build the child instance for one kept subset of parent positions;
+        `kept` and `dropped` are the parent positions in and out of
+        `spec.kept`, in order.
 
         Kept positions carry their vectors over unchanged; the remaining
         positions' masks collapse into one product vector held by the
         parent's TTP (the only party that knows all of them).
         """
-        kept = sorted(spec.kept)
-        dropped = [j for j in range(1, parent.n + 1) if j not in spec.kept]
-        positions = [
-            _Position(
-                parent.positions[i - 1].owner,
-                parent.positions[i - 1].vector,
-                parent.positions[i - 1].subject,
-            )
-            for i in kept
-        ]
-        collapsed = parent.ttp_bundles[dropped[0] - 1].mask
-        collapsed_ids = [parent.ttp_bundles[dropped[0] - 1].mask_id]
+        parent_positions = parent.positions
+        positions = []
+        for i in kept:
+            pos = parent_positions[i - 1]
+            positions.append(_Position(pos.owner, pos.vector, pos.subject))
+        bundles = parent.ttp_bundles
+        collapsed = bundles[dropped[0] - 1].mask
         for j in dropped[1:]:
-            collapsed = collapsed.hadamard(parent.ttp_bundles[j - 1].mask)
-            collapsed_ids.append(parent.ttp_bundles[j - 1].mask_id)
-        subject = {"kind": "prod", "masks": sorted(collapsed_ids)}
+            collapsed = collapsed.hadamard(bundles[j - 1].mask)
+        subject = {
+            "kind": "prod",
+            "masks": tuple(sorted(bundles[j - 1].mask_id for j in dropped)),
+        }
         positions.append(_Position(parent.ttp, collapsed, subject))
-        ttp = assign_ttp([p.owner for p in positions], self.policy, parent.ttp, self.pool)
+        owners = tuple(p.owner for p in positions)
+        key = (owners, parent.ttp)
+        ttp = self._ttps.get(key)
+        if ttp is None:
+            ttp = assign_ttp(owners, self.policy, parent.ttp, self.pool)
+            self._ttps[key] = ttp
         child = self.new_instance(
             positions,
             ttp,
             parent_id=parent.instance_id,
             spec=spec,
+            kept=kept,
             depth=parent.depth + 1,
         )
         parent.pending_subs[spec.kept] = spec
@@ -338,22 +379,12 @@ class ProtocolEngine:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, msg) -> None:
-        inst = self.instances[msg.instance_id]
-        kind = msg.kind
-        if kind is MessageKind.SHARE_DISTRIBUTION:
-            self._on_share(inst, msg)
-        elif kind is MessageKind.MASKED_MATRIX:
-            self._on_masked(inst, msg)
-        elif kind is MessageKind.CHAIN_VALUE:
-            self._on_chain(inst, msg)
-        elif kind is MessageKind.SUB_RESULT:
-            self._on_sub_result(inst, msg)
-        elif kind is MessageKind.FINAL_RESULT:
-            self._on_final(inst, msg)
+        handler = self._HANDLERS[msg.kind]
+        handler(self, self.instances[msg.instance_id], msg)
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["position"]
-        if not 1 <= i <= inst.n:
+        if not 1 <= i <= len(inst.positions):
             raise _out_of_range(inst, msg, i)
         pos = inst.positions[i - 1]
         _check_party(inst, msg, i, "sender", msg.sender, inst.ttp)
@@ -384,15 +415,16 @@ class ProtocolEngine:
     def _on_masked(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["from_pos"]
         j = msg.payload["to_pos"]
-        if not 1 <= j <= inst.n:
+        m = len(inst.positions)
+        if not 1 <= j <= m:
             raise _out_of_range(inst, msg, j)
-        if i == j or not 1 <= i <= inst.n:
+        if i == j or not 1 <= i <= m:
             problem = f"from position {i}, not another position"
             raise _rejected(inst, msg.kind, j, problem)
         pos = inst.positions[j - 1]
         _check_party(inst, msg, j, "sender", msg.sender, inst.positions[i - 1].owner)
         _check_party(inst, msg, j, "recipient", msg.recipient, pos.owner)
-        if i in pos.masked:
+        if pos.chain_sent or i in pos.masked:
             raise _rejected(inst, msg.kind, j, f"duplicate from position {i}")
         pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
         self._maybe_chain(inst, j)
@@ -402,9 +434,10 @@ class ProtocolEngine:
     def _maybe_chain(self, inst: ProtocolInstance, i: int) -> None:
         """Position i's chain step, once it holds its bundle, every other
         masked vector and, past position 1, the previous chain value.
-        Position 1 draws the output mask and opens the chain."""
+        Position 1 draws the output mask and opens the chain. The masked
+        vectors are freed once the step is sent."""
         pos = inst.positions[i - 1]
-        m = inst.n
+        m = len(inst.positions)
         if (
             pos.chain_sent
             or pos.bundle is None
@@ -430,6 +463,7 @@ class ProtocolEngine:
                 self.ring,
             )
         pos.chain_sent = True
+        pos.masked = None
         nxt = i % m + 1
         self.net.send(
             pos.owner,
@@ -442,7 +476,8 @@ class ProtocolEngine:
     def _on_chain(self, inst: ProtocolInstance, msg) -> None:
         to_pos = msg.payload["to_pos"]
         index = msg.payload["index"]
-        if not 1 <= to_pos <= inst.n:
+        m = len(inst.positions)
+        if not 1 <= to_pos <= m:
             raise _out_of_range(inst, msg, to_pos)
         pos = inst.positions[to_pos - 1]
         _check_party(inst, msg, to_pos, "recipient", msg.recipient, pos.owner)
@@ -451,10 +486,9 @@ class ProtocolEngine:
         if to_pos == 1:
             if inst.chain_final is not None:
                 raise _rejected(inst, msg.kind, 1, "duplicate closing value")
-            if index != inst.n:
-                raise _rejected(
-                    inst, msg.kind, 1, f"closing index {index}, expected {inst.n}"
-                )
+            if index != m:
+                problem = f"closing index {index}, expected {m}"
+                raise _rejected(inst, msg.kind, 1, problem)
             inst.chain_final = msg.payload["value"]
             self._maybe_finalize(inst)
         else:
@@ -492,14 +526,23 @@ class ProtocolEngine:
 
     def _on_final(self, inst: ProtocolInstance, msg) -> None:
         j = msg.payload["to_pos"]
-        if not 1 <= j <= inst.n:
+        if not 1 <= j <= len(inst.positions):
             raise _out_of_range(inst, msg, j)
         owner = inst.positions[j - 1].owner
         _check_party(inst, msg, j, "recipient", msg.recipient, owner)
         _check_party(inst, msg, j, "sender", msg.sender, inst.positions[0].owner)
         if j in inst.final_delivered:
             raise _rejected(inst, msg.kind, j, "duplicate")
-        inst.final_delivered.add(j)
+        inst.final_delivered |= {j}
+
+    # kind -> handler, for `dispatch`
+    _HANDLERS = {
+        MessageKind.SHARE_DISTRIBUTION: _on_share,
+        MessageKind.MASKED_MATRIX: _on_masked,
+        MessageKind.CHAIN_VALUE: _on_chain,
+        MessageKind.SUB_RESULT: _on_sub_result,
+        MessageKind.FINAL_RESULT: _on_final,
+    }
 
     def _publish(self, inst: ProtocolInstance) -> None:
         first_owner = inst.positions[0].owner
@@ -522,7 +565,7 @@ class ProtocolEngine:
                 {
                     "to_pos": 1,
                     "child": inst.instance_id,
-                    "kept": sorted(inst.spec.kept),
+                    "kept": inst.kept,
                     "value": inst.result,
                 },
             )
@@ -577,6 +620,8 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
         if pos.bundle is None:
             return _rejected(inst, MessageKind.SHARE_DISTRIBUTION, i, "missing")
     for j, pos in enumerate(inst.positions, start=1):
+        if pos.chain_sent:  # stepped, so it held every masked vector
+            continue
         for i in range(1, inst.n + 1):
             if i != j and i not in pos.masked:
                 problem = f"missing from position {i}"
@@ -596,7 +641,6 @@ def run_protocol(
     modulus: int = None,
     seed: int = 0,
     policy: Policy = Policy.SECURE,
-    ttp_label: str = "ttp",
 ) -> RunResult:
     """Execute one full run over the given plaintext vectors.
 
@@ -614,7 +658,7 @@ def run_protocol(
             raise InputShapeError("all parties' vectors must share one length")
 
     data_parties = tuple(PartyId.data(i) for i in range(1, len(vectors) + 1))
-    ttp = PartyId.ttp(ttp_label)
+    ttp = PartyId.ttp("ttp")
     net = Network()
     for party in (*data_parties, ttp):
         net.register(party)

@@ -138,9 +138,9 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
     """
     if not vectors:
         raise InputShapeError("product_trace needs at least one vector")
-    length = len(vectors[0])
+    length = len(vectors[0].entries)
     for v in vectors[1:]:
-        if len(v) != length:
+        if len(v.entries) != length:
             raise InputShapeError("length mismatch in product_trace")
     return sum(map(math.prod, zip(*(v.entries for v in vectors)))) % ring.modulus
 

@@ -32,6 +32,10 @@ class MessageKind(Enum):
     SUB_RESULT = "SubResult"
     FINAL_RESULT = "FinalResult"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact; Enum's own runs Python code on every dispatch-table lookup.
+    __hash__ = object.__hash__
+
 
 class Message:
     __slots__ = ("seq", "sender", "recipient", "instance_id", "kind", "payload", "meta")
@@ -75,9 +79,6 @@ class Transcript:
     def __iter__(self) -> Iterator[Message]:
         return iter(self._messages)
 
-    def __getitem__(self, i):
-        return self._messages[i]
-
     def export_jsonl(self) -> str:
         """Line-delimited records, bit-exact across replays with one seed."""
         return "\n".join(
@@ -96,6 +97,10 @@ class View:
     own_inputs: list = field(default_factory=list)
     sent_messages: list = field(default_factory=list)
     received_messages: list = field(default_factory=list)
+
+
+# The meta of every message sent without one; shared, never mutated.
+_NO_META: dict = {}
 
 
 class Network:
@@ -123,7 +128,9 @@ class Network:
             raise RoutingError(f"unknown recipient {recipient}")
         if sender not in self._local:
             raise RoutingError(f"unknown sender {sender}")
-        msg = Message(self._seq, sender, recipient, instance_id, kind, payload, meta or {})
+        if meta is None:
+            meta = _NO_META
+        msg = Message(self._seq, sender, recipient, instance_id, kind, payload, meta)
         self._seq += 1
         self._pending.append(msg)
         return msg
@@ -135,10 +142,6 @@ class Network:
         self.transcript.append(msg)
         return msg
 
-    @property
-    def quiescent(self) -> bool:
-        return not self._pending
-
     def record_local(self, party: PartyId, kind: str, data: dict) -> None:
         if party not in self._local:
             raise RoutingError(f"unknown party {party}")
@@ -147,10 +150,18 @@ class Network:
     def view_of(self, party: PartyId, ring: Ring) -> View:
         if party not in self._local:
             raise RoutingError(f"unknown party {party}")
+        # one pass; a message's parties are usually the very registered
+        # objects, so identity settles most matches without `PartyId.__eq__`
+        sent, received = [], []
+        for m in self.transcript:
+            if m.sender is party or m.sender == party:
+                sent.append(m)
+            if m.recipient is party or m.recipient == party:
+                received.append(m)
         return View(
             party=party,
             ring=ring,
             own_inputs=list(self._local[party]),
-            sent_messages=[m for m in self.transcript if m.sender == party],
-            received_messages=[m for m in self.transcript if m.recipient == party],
+            sent_messages=sent,
+            received_messages=received,
         )

@@ -1,0 +1,63 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
+from npscalar import PartyId
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(code: str, hash_seed: int, stdin: bytes = b"") -> bytes:
+    """Run `code` in a fresh interpreter with the given string-hash seed."""
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+class TestHash:
+    def test_constructors_hash_equally(self):
+        for made in (
+            [PartyId.data(3), PartyId.from_str("p3"), PartyId("data", 3),
+             dataclasses.replace(PartyId.data(1), index=3)],
+            [PartyId.ttp("ttp"), PartyId.from_str("ttp:ttp"),
+             dataclasses.replace(PartyId.ttp("other"), label="ttp")],
+        ):
+            assert len({hash(p) for p in made}) == 1
+            assert all(p == made[0] for p in made)
+            assert {made[0]: 1}[made[-1]] == 1
+
+    def test_distinct_ids_differ(self):
+        ids = [PartyId.data(1), PartyId.data(2), PartyId.ttp("ttp"), PartyId.ttp("x")]
+        assert len(set(ids)) == 4
+        assert PartyId.data(1) != PartyId.ttp("p1")
+        assert PartyId.data(1) != "p1"
+        assert sorted(reversed(ids)) == ids
+
+    def test_pickle_across_hash_seeds(self):
+        """An id pickled in a process with one string-hash seed equals a
+        fresh id and is a working dict key in a process with another; a hash
+        carried in the pickle would be the first process's."""
+        dumped = _python(
+            "import pickle, sys\n"
+            "from npscalar import PartyId\n"
+            "sys.stdout.buffer.write(pickle.dumps("
+            "[PartyId.ttp('ttp'), PartyId.data(2)]))\n",
+            hash_seed=1,
+        )
+        out = _python(
+            "import pickle, sys\n"
+            "from npscalar import PartyId\n"
+            "ttp, p2 = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = {PartyId.ttp('ttp'): 'ttp', PartyId.data(2): 'p2'}\n"
+            "print(ttp == PartyId.ttp('ttp'), fresh.get(ttp), fresh.get(p2),"
+            " ttp in set(fresh))\n",
+            hash_seed=2,
+            stdin=dumped,
+        )
+        assert out.split() == [b"True", b"ttp", b"p2", b"True"]
+

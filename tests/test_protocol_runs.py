@@ -229,6 +229,37 @@ class TestDuplicateRejection:
         msg = nets[0].duplicated
         assert str(err.value).startswith(_named(msg))
 
+    def test_masked_duplicate_after_step(self, monkeypatch):
+        """A masked vector that arrives again after its receiving position
+        took its chain step, and so freed the masked vectors it held, is
+        still rejected as a duplicate of the sending position."""
+        nets = []
+
+        def network():
+            nets.append(DuplicatingNetwork(_sub(lambda msg: (
+                msg.kind is MessageKind.MASKED_MATRIX and msg.payload["to_pos"] == 1
+            ))))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(3, 2, 11), seed=11)
+        msg = nets[0].duplicated
+        # every child at n = 3 has two positions, so the original was the
+        # last masked vector position 1 needed: its chain value went out
+        # before the copy arrived
+        stepped = [
+            m for m in nets[0]._pending
+            if m.kind is MessageKind.CHAIN_VALUE
+            and m.instance_id == msg.instance_id
+            and m.payload["index"] == 1
+        ]
+        assert len(stepped) == 1
+        assert str(err.value) == (
+            f"instance {msg.instance_id}: MaskedMatrixBroadcast at position 1: "
+            "duplicate from position 2"
+        )
+
 
 class DroppingNetwork(Network):
     """Never delivers the first message that `pick` selects."""

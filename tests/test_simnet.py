@@ -65,7 +65,7 @@ class TestTranscript:
         seqs = [m.seq for m in run.transcript]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
-        assert run.net.quiescent
+        assert run.net.deliver_next() is None
 
     def test_mask_freshness(self):
         run = run_protocol([[1, 0, 1]] * 5, seed=3)
