@@ -42,7 +42,7 @@ from .protocol import (
     enumerate_sub_instances,
     run_protocol,
 )
-from .ring import DEFAULT_MODULUS, ModVector, Ring, mask, product_trace, unmask
+from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
 from .shares import (
     MaskIdAllocator,
     Rng,
@@ -91,7 +91,6 @@ __all__ = [
     "forced_guess_inputs",
     "generate_share_bundles",
     "knowledge_closure",
-    "mask",
     "masked_product_coefficients",
     "mixed_term",
     "parse_config",
@@ -104,5 +103,4 @@ __all__ = [
     "scan_mask_safety",
     "scan_ttp_rotation",
     "split_value",
-    "unmask",
 ]

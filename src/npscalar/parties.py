@@ -18,14 +18,17 @@ class PartyId:
     index: int = 0
     label: str = ""
 
-    # Every send, routing check and view hashes or compares parties, so the
-    # fields' tuple and its hash are computed once. The hash depends on the
-    # process's string hashing, so a pickle carries only the fields and the
-    # constructor recomputes it.
+    # Every send, routing check and view hashes or compares parties, and
+    # every exported record names two, so the fields' tuple, its hash and
+    # the string are computed once. The hash depends on the process's string
+    # hashing, so a pickle carries only the fields and the constructor
+    # recomputes it.
     def __post_init__(self):
         key = (self.kind, self.index, self.label)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        text = f"p{self.index}" if self.kind == "data" else f"ttp:{self.label}"
+        object.__setattr__(self, "_str", text)
 
     def __hash__(self) -> int:
         return self._hash
@@ -60,7 +63,7 @@ class PartyId:
         return self.sort_key < other.sort_key
 
     def __str__(self) -> str:
-        return f"p{self.index}" if self.kind == "data" else f"ttp:{self.label}"
+        return self._str
 
     @classmethod
     def from_str(cls, text: str) -> "PartyId":

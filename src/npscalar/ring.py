@@ -144,12 +144,3 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
             raise InputShapeError("length mismatch in product_trace")
     return sum(map(math.prod, zip(*(v.entries for v in vectors)))) % ring.modulus
 
-
-def mask(v: ModVector, r: ModVector) -> ModVector:
-    """Additively blind `v` with the one-time mask `r`."""
-    return v.add(r)
-
-
-def unmask(v: ModVector, r: ModVector) -> ModVector:
-    """Invert `mask`: recover the plaintext from a masked vector."""
-    return v.sub(r)

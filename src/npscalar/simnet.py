@@ -15,9 +15,10 @@ meta exists for the analysis harness.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterator, Optional
 
 from .errors import RoutingError
@@ -69,6 +70,11 @@ class Transcript:
 
     def __init__(self):
         self._messages: list[Message] = []
+        # party -> messages it sent / received, covering the first
+        # `_indexed` messages; caught up by `messages_of`, not by `append`
+        self._sent: defaultdict[PartyId, list] = defaultdict(list)
+        self._received: defaultdict[PartyId, list] = defaultdict(list)
+        self._indexed = 0
 
     def append(self, msg: Message) -> None:
         self._messages.append(msg)
@@ -79,12 +85,55 @@ class Transcript:
     def __iter__(self) -> Iterator[Message]:
         return iter(self._messages)
 
+    def messages_of(self, party: PartyId) -> tuple[list, list]:
+        """Copies of the messages `party` sent and received, in transcript
+        order. The per-party index is extended on demand, so a run that takes
+        no view never builds it and `append` stays one list append."""
+        if self._indexed != len(self._messages):
+            sent, received = self._sent, self._received
+            for m in self._messages[self._indexed:]:
+                sent[m.sender].append(m)
+                received[m.recipient].append(m)
+            self._indexed = len(self._messages)
+        return list(self._sent.get(party, ())), list(self._received.get(party, ()))
+
     def export_jsonl(self) -> str:
-        """Line-delimited records, bit-exact across replays with one seed."""
-        return "\n".join(
-            json.dumps(m.record(), sort_keys=True, separators=(",", ":"))
-            for m in self._messages
+        """Line-delimited records, bit-exact across replays with one seed.
+
+        Each line is `json.dumps(record, sort_keys=True, separators=(",",
+        ":"))`. That call builds a new encoder for every record, which costs
+        more than the encoding, so one C encoder with the settings `dumps`
+        would use serves the whole export. Its `markers` dict is fresh per
+        export, so the circular-reference check stays, and `default` raises
+        the same `TypeError`."""
+        records = (m.record() for m in self._messages)
+        dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        if c_make_encoder is None:
+            return "\n".join(map(dumps.encode, records))
+        encode = c_make_encoder(
+            {}, dumps.default, encode_basestring_ascii, dumps.indent,
+            dumps.key_separator, dumps.item_separator, dumps.sort_keys,
+            dumps.skipkeys, dumps.allow_nan,
         )
+        return "\n".join("".join(encode(rec, 0)) for rec in records)
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> "Transcript":
+        """The transcript an `export_jsonl()` text records, for auditing
+        without re-running. Tuples come back as lists, which the analysis
+        reads the same way, so the text exports unchanged."""
+        transcript = cls()
+        for rec in map(json.loads, text.splitlines()):
+            transcript.append(Message(
+                rec["seq"],
+                PartyId.from_str(rec["from"]),
+                PartyId.from_str(rec["to"]),
+                rec["instance"],
+                MessageKind(rec["kind"]),
+                rec["payload"],
+                rec["meta"],
+            ))
+        return transcript
 
 
 @dataclass
@@ -150,14 +199,7 @@ class Network:
     def view_of(self, party: PartyId, ring: Ring) -> View:
         if party not in self._local:
             raise RoutingError(f"unknown party {party}")
-        # one pass; a message's parties are usually the very registered
-        # objects, so identity settles most matches without `PartyId.__eq__`
-        sent, received = [], []
-        for m in self.transcript:
-            if m.sender is party or m.sender == party:
-                sent.append(m)
-            if m.recipient is party or m.recipient == party:
-                received.append(m)
+        sent, received = self.transcript.messages_of(party)
         return View(
             party=party,
             ring=ring,

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -40,23 +39,6 @@ def _delivered(*messages):
     for msg in messages:
         transcript.append(msg)
     return transcript
-
-
-def _parse_export(text):
-    """Messages rebuilt from `export_jsonl()` records. Tuples come back as
-    lists, which the analysis reads the same way."""
-    return [
-        Message(
-            rec["seq"],
-            PartyId.from_str(rec["from"]),
-            PartyId.from_str(rec["to"]),
-            rec["instance"],
-            MessageKind(rec["kind"]),
-            rec["payload"],
-            rec["meta"],
-        )
-        for rec in map(json.loads, text.splitlines())
-    ]
 
 
 def random_vectors(n, length, seed):
@@ -101,7 +83,7 @@ class TestOfflineAudit:
     def test_reconstruction_from_export(self, n, policy):
         vectors = random_vectors(n, 2, seed=n * 13)
         run = run_protocol(vectors, seed=6, policy=policy)
-        messages = _parse_export(run.transcript.export_jsonl())
+        messages = list(Transcript.from_jsonl(run.transcript.export_jsonl()))
         offline = View(
             party=run.ttp,
             ring=run.ring,

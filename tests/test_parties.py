@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -37,6 +38,17 @@ class TestHash:
         assert PartyId.data(1) != PartyId.ttp("p1")
         assert PartyId.data(1) != "p1"
         assert sorted(reversed(ids)) == ids
+
+    def test_str_survives_rebuilds(self):
+        for party, text in ((PartyId.data(3), "p3"), (PartyId.ttp("ttp"), "ttp:ttp")):
+            other = PartyId.data(7) if party.kind == "data" else PartyId.ttp("x")
+            rebuilt = (
+                pickle.loads(pickle.dumps(party)),
+                dataclasses.replace(other, index=party.index, label=party.label),
+                PartyId.from_str(text),
+            )
+            assert str(party) == text
+            assert [str(p) for p in rebuilt] == [text] * 3
 
     def test_pickle_across_hash_seeds(self):
         """An id pickled in a process with one string-hash seed equals a

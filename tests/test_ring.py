@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npscalar import InputShapeError, ModVector, Ring, mask, product_trace, unmask
+from npscalar import InputShapeError, ModVector, Ring, product_trace
 
 R64 = Ring()
 R7 = Ring(7)
@@ -37,20 +37,20 @@ class TestProductTrace:
             product_trace([vec([1, 2]), vec([1, 2, 3])], R64)
 
 
-class TestMask:
-    def test_zero_mask(self):
-        assert mask(vec([2, 3]), vec([0, 0])).entries == (2, 3)
+class TestVectorAddSub:
+    def test_add_zero(self):
+        assert vec([2, 3]).add(vec([0, 0])).entries == (2, 3)
 
-    def test_wraps_modulus(self):
-        assert mask(ModVector([5], R7), ModVector([3], R7)).entries == (1,)
+    def test_add_wraps_modulus(self):
+        assert ModVector([5], R7).add(ModVector([3], R7)).entries == (1,)
 
-    def test_unmask_inverts(self):
+    def test_sub_inverts_add(self):
         v, r = vec([10, 20, 30]), vec([7, (1 << 64) - 1, 123])
-        assert unmask(mask(v, r), r) == v
+        assert v.add(r).sub(r) == v
 
-    def test_length_mismatch(self):
+    def test_add_length_mismatch(self):
         with pytest.raises(InputShapeError):
-            mask(vec([1]), vec([1, 2]))
+            vec([1]).add(vec([1, 2]))
 
 
 elements = st.integers(min_value=0, max_value=(1 << 64) - 1)

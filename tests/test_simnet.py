@@ -1,15 +1,20 @@
+import json
+
 import pytest
 
 from npscalar import (
+    Message,
     MessageKind,
     Network,
     PartyId,
     Policy,
     Ring,
     RoutingError,
+    Transcript,
     run_protocol,
     scan_mask_freshness,
 )
+from npscalar import simnet
 
 ALICE = PartyId.data(1)
 BOB = PartyId.data(2)
@@ -71,6 +76,77 @@ class TestTranscript:
         run = run_protocol([[1, 0, 1]] * 5, seed=3)
         assert scan_mask_freshness(run.transcript) == []
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_import_round_trips(self, n, policy):
+        vectors = [(i, 2 * i + 1) for i in range(1, n + 1)]
+        text = run_protocol(vectors, seed=n, policy=policy).transcript.export_jsonl()
+        assert Transcript.from_jsonl(text).export_jsonl() == text
+
+
+def _stdlib_export(transcript):
+    """The reference the export's single encoder must reproduce."""
+    return "\n".join(
+        json.dumps(m.record(), sort_keys=True, separators=(",", ":"))
+        for m in transcript
+    )
+
+
+def _hand_built(*payloads, metas=None, sender=ALICE):
+    transcript = Transcript()
+    metas = metas or [{}] * len(payloads)
+    for seq, (payload, meta) in enumerate(zip(payloads, metas)):
+        transcript.append(
+            Message(seq, sender, BOB, seq, MessageKind.CHAIN_VALUE, payload, meta)
+        )
+    return transcript
+
+
+class TestExportEncoder:
+    """`export_jsonl` is `json.dumps` per record, bytes and errors alike."""
+
+    def test_non_ascii_ttp_label(self):
+        transcript = _hand_built(
+            {"value": 1}, {"value": 2}, sender=PartyId.ttp('caf\u00e9 "q"')
+        )
+        text = transcript.export_jsonl()
+        assert text == _stdlib_export(transcript)
+        assert '"from":"ttp:caf\\u00e9 \\"q\\""' in text
+
+    def test_nested_shared_and_empty_meta(self):
+        shared = {"b": [1, {"z": 2, "a": (3, 4)}], "a": {}}
+        transcript = _hand_built(
+            {"v": 1}, {"v": 2}, {"v": 3}, metas=[shared, shared, {}]
+        )
+        assert transcript.export_jsonl() == _stdlib_export(transcript)
+
+    def test_tuple_and_list_payloads(self):
+        values = (1 << 63, 0, 7)
+        transcript = _hand_built(
+            {"values": values}, {"values": list(values)}, {"mask": values, "k": []}
+        )
+        assert transcript.export_jsonl() == _stdlib_export(transcript)
+
+    def test_unserialisable_value_raises_same_error(self):
+        transcript = _hand_built({"v": 1}, {"v": {1, 2}})
+        with pytest.raises(TypeError) as expected:
+            _stdlib_export(transcript)
+        with pytest.raises(TypeError) as got:
+            transcript.export_jsonl()
+        assert str(got.value) == str(expected.value)
+
+    def test_self_reference_raises_circular(self):
+        payload = {"v": 1}
+        payload["self"] = payload
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            _hand_built({"v": 0}, payload).export_jsonl()
+
+    def test_fallback_without_c_encoder(self, monkeypatch):
+        run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=4)
+        fast = run.transcript.export_jsonl()
+        monkeypatch.setattr(simnet, "c_make_encoder", None)
+        assert run.transcript.export_jsonl() == fast == _stdlib_export(run.transcript)
+
 
 class TestViews:
     def test_ttp_receives_nothing_at_top_level(self):
@@ -96,6 +172,44 @@ class TestViews:
             received += [m.seq for m in run.view_of(party).received_messages]
             sent += [m.seq for m in run.view_of(party).sent_messages]
         assert sorted(received) == sorted(sent) == [m.seq for m in run.transcript]
+
+    def test_view_sees_later_messages(self):
+        net = make_net()
+        net.send(ALICE, BOB, 0, MessageKind.CHAIN_VALUE, {"value": 1})
+        net.deliver_next()
+        assert len(net.view_of(BOB, Ring()).received_messages) == 1
+        net.send(ALICE, BOB, 0, MessageKind.CHAIN_VALUE, {"value": 2})
+        net.deliver_next()
+        net.transcript.append(
+            Message(9, BOB, ALICE, 0, MessageKind.CHAIN_VALUE, {"value": 3}, {})
+        )
+        bob = net.view_of(BOB, Ring())
+        assert [m.payload["value"] for m in bob.received_messages] == [1, 2]
+        assert [m.payload["value"] for m in bob.sent_messages] == [3]
+
+    def test_equal_party_gets_same_view(self):
+        run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2)
+        parsed = PartyId.from_str("p2")
+        assert parsed is not PartyId.data(2)
+        a, b = run.view_of(parsed), run.view_of(PartyId.data(2))
+        assert a.sent_messages == b.sent_messages
+        assert a.received_messages == b.received_messages
+        assert a.received_messages and a.sent_messages
+
+    def test_view_lists_are_copies(self):
+        run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2)
+        first = run.view_of(PartyId.data(2))
+        expected = (list(first.sent_messages), list(first.received_messages))
+        first.sent_messages.clear()
+        first.received_messages.append(first.received_messages[0])
+        again = run.view_of(PartyId.data(2))
+        assert (again.sent_messages, again.received_messages) == expected
+
+    def test_unknown_party_after_run(self):
+        run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2)
+        run.view_of(run.ttp)
+        with pytest.raises(RoutingError):
+            run.view_of(PartyId.data(9))
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_sent_shares_are_the_bundles_generated(self, policy):
