@@ -181,6 +181,28 @@ def _known_mask_values(view: View) -> dict:
     }
 
 
+def _unmask_inputs(view: View, mask_for) -> dict:
+    """Every received masked input vector minus the mask `mask_for(meta)`
+    picks for it from the message's meta, keyed by the input's party. A
+    vector for which it returns None is skipped; a later vector of the
+    same party replaces an earlier one."""
+    modulus = view.ring.modulus
+    unmasked: dict[PartyId, tuple] = {}
+    for msg in view.received_messages:
+        if msg.kind is not MessageKind.MASKED_MATRIX:
+            continue
+        subject = msg.meta["subject"]
+        if subject["kind"] != "input":
+            continue
+        mask = mask_for(msg.meta)
+        if mask is None:
+            continue
+        unmasked[PartyId.from_str(subject["party"])] = tuple(
+            (v - m) % modulus for v, m in zip(msg.payload["values"], mask)
+        )
+    return unmasked
+
+
 def reconstruct_inputs(view: View) -> dict:
     """The semi-honest reconstruction attack run from one party's view.
 
@@ -189,23 +211,8 @@ def reconstruct_inputs(view: View) -> dict:
     absent from the returned map. Under the SECURE policy a TTP's map is
     empty; under FLAWED it recovers every data party's vector exactly.
     """
-    modulus = view.ring.modulus
     masks = _known_mask_values(view)
-    claimed: dict[PartyId, tuple] = {}
-    for msg in view.received_messages:
-        if msg.kind is not MessageKind.MASKED_MATRIX:
-            continue
-        subject = msg.meta["subject"]
-        if subject["kind"] != "input":
-            continue
-        mask_value = masks.get(msg.meta["mask_id"])
-        if mask_value is None:
-            continue
-        values = msg.payload["values"]
-        claimed[PartyId.from_str(subject["party"])] = tuple(
-            (v - m) % modulus for v, m in zip(values, mask_value)
-        )
-    return claimed
+    return _unmask_inputs(view, lambda meta: masks.get(meta["mask_id"]))
 
 
 def forced_guess_inputs(view: View) -> dict:
@@ -217,27 +224,18 @@ def forced_guess_inputs(view: View) -> dict:
     instance. The guesses mismatch the true data except with vanishing
     probability.
     """
-    modulus = view.ring.modulus
     by_holder: dict[str, tuple] = {}
     for msg in sorted(view.sent_messages, key=attrgetter("seq")):
         if msg.kind is MessageKind.SHARE_DISTRIBUTION:
             by_holder.setdefault(msg.meta["holder"], tuple(msg.payload["mask"]))
     known = _known_mask_values(view)
-    guesses: dict[PartyId, tuple] = {}
-    for msg in view.received_messages:
-        if msg.kind is not MessageKind.MASKED_MATRIX:
-            continue
-        subject = msg.meta["subject"]
-        if subject["kind"] != "input" or msg.meta["mask_id"] in known:
-            continue
-        stale = by_holder.get(subject["party"])
-        if stale is None:
-            continue
-        values = msg.payload["values"]
-        guesses[PartyId.from_str(subject["party"])] = tuple(
-            (v - m) % modulus for v, m in zip(values, stale)
-        )
-    return guesses
+
+    def stale(meta):
+        if meta["mask_id"] in known:
+            return None
+        return by_holder.get(meta["subject"]["party"])
+
+    return _unmask_inputs(view, stale)
 
 
 # ---------------------------------------------------------------------------

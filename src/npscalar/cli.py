@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis
 from .config import RunConfig, parse_config, parse_modulus
-from .errors import ScalarProtocolError
+from .errors import ConfigError, ScalarProtocolError
 from .protocol import Policy, run_protocol
 from .ring import Ring
 
@@ -33,12 +33,21 @@ def _load_config(args) -> RunConfig:
     if not path:
         raise ScalarProtocolError("a config file is required (--config PATH)")
     cfg = parse_config(Path(path).read_text())
+    # argparse checks --seed and --policy, so a bad value is the variable's
     seed = args.seed if args.seed is not None else _env("seed")
     if seed is not None:
-        cfg.seed = int(seed)
+        try:
+            cfg.seed = int(seed)
+        except ValueError:
+            problem = f"{ENV_PREFIX}SEED must be an integer: {seed!r}"
+            raise ConfigError(problem) from None
     policy = args.policy or _env("policy")
     if policy:
-        cfg.policy = Policy(policy.lower())
+        try:
+            cfg.policy = Policy(policy.lower())
+        except ValueError:
+            problem = f"{ENV_PREFIX}POLICY: unknown policy {policy!r}"
+            raise ConfigError(problem) from None
     modulus = args.modulus or _env("modulus")
     if modulus:
         cfg.modulus = parse_modulus(modulus)

@@ -13,6 +13,7 @@ Example::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import yaml
@@ -94,7 +95,10 @@ def parse_config(text: str) -> RunConfig:
     for name, vec in parties_raw.items():
         if not isinstance(vec, (list, tuple)) or not vec:
             raise ConfigError(f"party {name!r} needs a nonempty vector")
-        entries = tuple(int(e) % modulus for e in vec)
+        try:
+            entries = tuple(operator.index(e) % modulus for e in vec)
+        except TypeError:
+            raise ConfigError(f"party {name!r} has a non-integer entry") from None
         if length is None:
             length = len(entries)
         elif len(entries) != length:
@@ -104,7 +108,7 @@ def parse_config(text: str) -> RunConfig:
         parties.append((str(name), entries))
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
 
     return RunConfig(

@@ -29,11 +29,16 @@ message flow, and therefore the instance census, is identical under both
 policies.
 
 Readiness is per position, not per instance: there is no instance-wide
-phase. A position broadcasts once its share bundle arrives and takes its
-chain step once it holds its bundle, every other masked vector and the
-previous chain value; position 1 aggregates once the closing chain value
-and every sub-result are in. Messages of different positions or stages
-may therefore arrive in any order the causal chain allows.
+phase. A position broadcasts once its share distribution arrives and takes
+its chain step once it holds its mask and share, every other masked vector
+and the previous chain value; position 1 aggregates once the closing chain
+value and every sub-result are in. Messages of different positions or
+stages may therefore arrive in any order the causal chain allows.
+
+A position computes with the mask, share and mask id its share
+distribution carried. The TTP's bundles live only while `start` builds
+the instance's children, whose collapsed mask products are the TTP's own
+knowledge.
 """
 
 from __future__ import annotations
@@ -181,10 +186,11 @@ class _Position:
         "owner",
         "vector",
         "subject",
-        "bundle",
+        "mask",
+        "share",
+        "mask_id",
         "masked",
         "chain_prev",
-        "chain_sent",
         "output_mask",
     )
 
@@ -194,12 +200,14 @@ class _Position:
         # what the vector is, as its transcript record; shared, never mutated:
         # {"kind": "input", "party": ...} or {"kind": "prod", "masks": (sorted ids)}
         self.subject = subject
-        self.bundle: Optional[ShareBundle] = None
+        # from the share distribution; the mask is None until it arrives
+        self.mask: Optional[ModVector] = None
+        self.share: Optional[int] = None
+        self.mask_id: Optional[int] = None
         # from_pos -> masked vector; None once the chain value is sent, as
         # every other masked vector has arrived by then
         self.masked: Optional[dict[int, ModVector]] = {}
         self.chain_prev: Optional[int] = None
-        self.chain_sent = False
         self.output_mask: Optional[int] = None
 
 
@@ -210,7 +218,6 @@ class ProtocolInstance:
     __slots__ = (
         "instance_id",
         "parent_id",
-        "spec",
         "kept",
         "positions",
         "ttp",
@@ -220,17 +227,13 @@ class ProtocolInstance:
         "chain_final",
         "result",
         "final_delivered",
-        "ttp_bundles",
     )
 
-    def __init__(
-        self, instance_id, positions, ttp, parent_id=None, spec=None, kept=(), depth=0
-    ):
+    def __init__(self, instance_id, positions, ttp, parent_id=None, kept=(), depth=0):
         self.instance_id = instance_id
         self.positions: list[_Position] = positions
         self.ttp = ttp
         self.parent_id = parent_id
-        self.spec: Optional[SubInstanceSpec] = spec
         self.kept: tuple[int, ...] = kept  # spec.kept in order; () at the top
         self.depth = depth
         self.pending_subs: dict[frozenset, SubInstanceSpec] = {}  # kept -> spec
@@ -240,7 +243,6 @@ class ProtocolInstance:
         # positions that got the published result; only the top instance
         # publishes, so the others keep one shared empty set
         self.final_delivered: frozenset[int] = _NO_POSITIONS
-        self.ttp_bundles: list[ShareBundle] = []
 
     @property
     def n(self) -> int:
@@ -291,10 +293,8 @@ class ProtocolEngine:
 
     # -- construction ------------------------------------------------------
 
-    def new_instance(self, positions, ttp, parent_id=None, spec=None, kept=(), depth=0):
-        inst = ProtocolInstance(
-            next(self._ids), positions, ttp, parent_id, spec, kept, depth
-        )
+    def new_instance(self, positions, ttp, parent_id=None, kept=(), depth=0):
+        inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, kept, depth)
         self.instances[inst.instance_id] = inst
         return inst
 
@@ -313,7 +313,6 @@ class ProtocolEngine:
         bundles = generate_share_bundles(
             m, length, self.ring, self.rng, ids=self.mask_ids
         )
-        inst.ttp_bundles = bundles
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
             self.net.send(
                 inst.ttp,
@@ -328,18 +327,20 @@ class ProtocolEngine:
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
             )
         for spec, kept, dropped in _sub_plan(m):
-            self.start(self.spawn_sub_instance(inst, spec, kept, dropped))
+            self.start(self.spawn_sub_instance(inst, bundles, spec, kept, dropped))
 
     def spawn_sub_instance(
         self,
         parent: ProtocolInstance,
+        bundles: Sequence[ShareBundle],
         spec: SubInstanceSpec,
         kept: tuple[int, ...],
         dropped: tuple[int, ...],
     ) -> ProtocolInstance:
         """Build the child instance for one kept subset of parent positions;
-        `kept` and `dropped` are the parent positions in and out of
-        `spec.kept`, in order.
+        `bundles` are the ones the parent's TTP generated, in position
+        order, and `kept` and `dropped` are the parent positions in and out
+        of `spec.kept`, in order.
 
         Kept positions carry their vectors over unchanged; the remaining
         positions' masks collapse into one product vector held by the
@@ -350,7 +351,6 @@ class ProtocolEngine:
         for i in kept:
             pos = parent_positions[i - 1]
             positions.append(_Position(pos.owner, pos.vector, pos.subject))
-        bundles = parent.ttp_bundles
         collapsed = bundles[dropped[0] - 1].mask
         for j in dropped[1:]:
             collapsed = collapsed.hadamard(bundles[j - 1].mask)
@@ -369,7 +369,6 @@ class ProtocolEngine:
             positions,
             ttp,
             parent_id=parent.instance_id,
-            spec=spec,
             kept=kept,
             depth=parent.depth + 1,
         )
@@ -389,9 +388,11 @@ class ProtocolEngine:
         pos = inst.positions[i - 1]
         _check_party(inst, msg, i, "sender", msg.sender, inst.ttp)
         _check_party(inst, msg, i, "recipient", msg.recipient, pos.owner)
-        if pos.bundle is not None:
+        if pos.mask is not None:
             raise _rejected(inst, msg.kind, i, "duplicate")
-        pos.bundle = inst.ttp_bundles[i - 1]
+        pos.mask = ModVector._reduced(msg.payload["mask"], self.ring)
+        pos.share = msg.payload["share"]
+        pos.mask_id = msg.meta["mask_id"]
         self._send_masked(inst, i)
         self._maybe_chain(inst, i)
 
@@ -399,8 +400,8 @@ class ProtocolEngine:
         """Broadcast position i's masked vector to every other position;
         all recipients share one immutable entries tuple."""
         pos = inst.positions[i - 1]
-        values = pos.vector.add(pos.bundle.mask).entries
-        meta = {"mask_id": pos.bundle.mask_id, "subject": pos.subject}
+        values = pos.vector.add(pos.mask).entries
+        meta = {"mask_id": pos.mask_id, "subject": pos.subject}
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
                 self.net.send(
@@ -424,7 +425,7 @@ class ProtocolEngine:
         pos = inst.positions[j - 1]
         _check_party(inst, msg, j, "sender", msg.sender, inst.positions[i - 1].owner)
         _check_party(inst, msg, j, "recipient", msg.recipient, pos.owner)
-        if pos.chain_sent or i in pos.masked:
+        if pos.masked is None or i in pos.masked:
             raise _rejected(inst, msg.kind, j, f"duplicate from position {i}")
         pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
         self._maybe_chain(inst, j)
@@ -432,15 +433,15 @@ class ProtocolEngine:
     # -- chain -------------------------------------------------------------
 
     def _maybe_chain(self, inst: ProtocolInstance, i: int) -> None:
-        """Position i's chain step, once it holds its bundle, every other
-        masked vector and, past position 1, the previous chain value.
+        """Position i's chain step, once it holds its mask and share, every
+        other masked vector and, past position 1, the previous chain value.
         Position 1 draws the output mask and opens the chain. The masked
         vectors are freed once the step is sent."""
         pos = inst.positions[i - 1]
         m = len(inst.positions)
         if (
-            pos.chain_sent
-            or pos.bundle is None
+            pos.masked is None
+            or pos.mask is None
             or len(pos.masked) < m - 1
             or (i > 1 and pos.chain_prev is None)
         ):
@@ -450,19 +451,18 @@ class ProtocolEngine:
             value = chain_init(
                 pos.vector,
                 pos.masked.values(),
-                pos.bundle.share,
+                pos.share,
                 pos.output_mask,
                 self.ring,
             )
         else:
             value = chain_step(
                 pos.chain_prev,
-                pos.bundle.mask,
+                pos.mask,
                 pos.masked.values(),
-                pos.bundle.share,
+                pos.share,
                 self.ring,
             )
-        pos.chain_sent = True
         pos.masked = None
         nxt = i % m + 1
         self.net.send(
@@ -614,13 +614,13 @@ class RunResult:
 
 def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
     """The error for an instance that ended without a result. It names the
-    earliest piece that never arrived, in this order: a bundle, a masked
-    vector, a chain value, the closing chain value, a sub-result."""
+    earliest piece that never arrived, in this order: a share distribution,
+    a masked vector, a chain value, the closing chain value, a sub-result."""
     for i, pos in enumerate(inst.positions, start=1):
-        if pos.bundle is None:
+        if pos.mask is None:
             return _rejected(inst, MessageKind.SHARE_DISTRIBUTION, i, "missing")
     for j, pos in enumerate(inst.positions, start=1):
-        if pos.chain_sent:  # stepped, so it held every masked vector
+        if pos.masked is None:  # stepped, so it held every masked vector
             continue
         for i in range(1, inst.n + 1):
             if i != j and i not in pos.masked:

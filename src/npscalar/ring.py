@@ -43,18 +43,6 @@ class Ring:
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
 
 class ModVector:
     """Fixed-length vector of ring elements (a diagonal matrix's diagonal)."""

@@ -9,7 +9,9 @@ projected out after the run.
 The `meta` sidecar on a message carries mask/share identifiers so that
 invariants can be checked without parsing payload semantics. Adversary
 arithmetic must only use values that actually appear in a party's view;
-meta exists for the analysis harness.
+meta exists for the analysis harness. The engine reads one meta field: a
+position takes its mask id from the `ShareDistribution` it received and
+echoes it into the meta of its masked broadcast.
 """
 
 from __future__ import annotations

@@ -99,7 +99,12 @@ class TestKnowledgeClosure:
     def test_secure_ttp_knows_masks_not_inputs(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2, policy=Policy.SECURE)
         atoms = knowledge_closure(run.view_of(run.ttp)).atoms
-        top_ids = [b.mask_id for b in run.engine.instances[0].ttp_bundles]
+        top_ids = [
+            m.meta["mask_id"]
+            for m in run.transcript
+            if m.instance_id == 0 and m.kind is MessageKind.SHARE_DISTRIBUTION
+        ]
+        assert len(top_ids) == 3
         assert all(f"mask:{i}" in atoms for i in top_ids)
         assert not any(a.startswith("input:") for a in atoms)
 

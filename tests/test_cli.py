@@ -65,6 +65,10 @@ class TestParseConfig:
         with pytest.raises(InstanceShapeError):
             parse_config("parties:\n  a: [1]\n")
 
+    def test_boolean_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            parse_config("seed: true\nparties:\n  a: [1]\n  b: [2]\n")
+
     def test_entries_reduced_on_load(self):
         cfg = parse_config("modulus: 7\nparties:\n  a: [9, 15]\n  b: [1, 2]\n")
         assert cfg.vectors[0] == (2, 1)
@@ -106,6 +110,29 @@ class TestCliCommands:
         status = main(["run", "--verify"])
         assert status == 0
         assert "result: 63" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "variable,value", [("NPSCALAR_POLICY", "sneaky"), ("NPSCALAR_SEED", "abc")]
+    )
+    def test_bad_env_value_is_error(
+        self, variable, value, config_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(variable, value)
+        status = main(["run", "--config", config_path])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert variable in err and repr(value) in err
+
+    @pytest.mark.parametrize("entries", ["[1.5, 2]", "[x, 2]"])
+    def test_non_integer_entry_is_error(self, entries, tmp_path, capsys):
+        path = tmp_path / "entries.yaml"
+        path.write_text(f"parties:\n  a: [1, 2]\n  b: {entries}\n")
+        status = main(["run", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert "result:" not in out
+        assert err == "error: party 'b' has a non-integer entry\n"
 
     def test_attack_demo_dichotomy(self, config_path, capsys):
         status = main(["attack-demo", "--config", config_path])

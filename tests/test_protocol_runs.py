@@ -10,6 +10,7 @@ from npscalar import (
     InputShapeError,
     InstanceShapeError,
     MessageKind,
+    ModVector,
     Network,
     PartyId,
     Policy,
@@ -116,10 +117,15 @@ class TestCompletionAndStructure:
         run = run_protocol(vectors, seed=8)
         top = run.engine.instances[0]
         data = [p.vector for p in top.positions]
-        masks = [b.mask for b in top.ttp_bundles]
+        shares = sorted(
+            (m.payload["position"], m.payload["mask"])
+            for m in run.transcript
+            if m.instance_id == 0 and m.kind is MessageKind.SHARE_DISTRIBUTION
+        )
+        masks = [ModVector(mask, R64) for _, mask in shares]
         for child in run.engine.instances.values():
             if child.parent_id == 0:
-                expected = mixed_term(child.spec.kept, data, masks, R64)
+                expected = mixed_term(child.kept, data, masks, R64)
                 assert child.result == expected
 
     def test_singleton_children_are_two_party(self):
@@ -374,7 +380,7 @@ class TestShuffledDelivery:
 class MisroutingNetwork(Network):
     """Rewrites one field of the first delivered message that `pick`
     selects to `value(msg)`: its sender, its recipient or a payload
-    position."""
+    field."""
 
     def __init__(self, pick, field, value):
         super().__init__()
@@ -477,6 +483,38 @@ class TestMisrouteRejection:
         msg, error = self._run(monkeypatch, pick, "sender", other_party)
         expected = senders[0]
         assert error == f"{_named(msg)} sender {msg.sender}, expected {expected}"
+
+
+class TestTamperedShare:
+    """A position computes from the share distribution it received. A
+    share altered in transit therefore moves the result by (m - 1) times
+    the change, as every position adds (m - 1) times its share to the
+    chain."""
+
+    @pytest.mark.parametrize("delta", [5, R64.modulus - 1])
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_result_moves_by_the_tampered_share(self, position, delta, monkeypatch):
+        def pick(msg):
+            return (
+                msg.kind is MessageKind.SHARE_DISTRIBUTION
+                and msg.payload["position"] == position
+            )
+
+        def tampered(msg):
+            return R64.reduce(msg.payload["share"] + delta)
+
+        nets = []
+
+        def network():
+            nets.append(MisroutingNetwork(_top(pick), "share", tampered))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        vectors = [(1, 2), (3, 4), (5, 6)]
+        run = run_protocol(vectors, seed=7)
+        assert nets[0].misrouted is not None
+        assert plaintext_oracle(vectors, R64) == 63
+        assert run.result == R64.reduce(63 + 2 * delta)
 
 
 class TestGoldenTranscripts:

@@ -30,7 +30,7 @@ class TestChainInit:
     def test_zero_masks_leave_trace_minus_output_mask(self):
         data = [vec([1, 2]), vec([3, 4]), vec([5, 6])]
         got = chain_init(data[0], data[1:], 0, 9, R64)
-        assert got == R64.sub(63, 9)
+        assert got == R64.reduce(63 - 9)
 
     def test_zero_vector_zero_shares(self):
         assert chain_init(vec([0]), [vec([4]), vec([5])], 0, 0, R64) == 0
@@ -51,7 +51,7 @@ class TestChainStep:
         u = chain_init(data[0], data[1:], 0, 9, R64)
         for i in (2, 3):
             u = chain_step(u, zero, [data[x - 1] for x in (1, 2, 3) if x != i], 0, R64)
-        assert u == R64.sub(63, 9)
+        assert u == R64.reduce(63 - 9)
 
 
 class TestEnumerateSubInstances:
@@ -124,7 +124,7 @@ class TestAggregateFinal:
         specs = [
             (SubInstanceSpec(frozenset({i}), 1), 0) for i in (1, 2, 3)
         ]
-        assert aggregate_final(R64.sub(63, 9), specs, 9, R64) == 63
+        assert aggregate_final(R64.reduce(63 - 9), specs, 9, R64) == 63
 
     def test_coefficients_scale_sub_results(self):
         specs = [
@@ -142,7 +142,7 @@ class TestTwoPositionChain:
         a, b = vec([2]), vec([3])
         mask_a, mask_b = vec([5]), vec([7])
         share_a = 11
-        share_b = R64.sub(35, share_a)  # trace(5*7) = 35
+        share_b = R64.reduce(35 - share_a)  # trace(5*7) = 35
         assert share_b == 24
         output_mask = 4
         masked_a = a.add(mask_a)
@@ -161,7 +161,7 @@ class TestTwoPositionChain:
         a, b = vec([0, 0, 0]), vec([9, 8, 7])
         mask_a, mask_b = vec([1, 2, 3]), vec([4, 5, 6])
         trace = 1 * 4 + 2 * 5 + 3 * 6
-        share_a, share_b = 13, R64.sub(trace, 13)
+        share_a, share_b = 13, R64.reduce(trace - 13)
         first = chain_init(a, [b.add(mask_b)], share_a, 99, R64)
         last = chain_step(first, mask_b, [a.add(mask_a)], share_b, R64)
         assert aggregate_final(last, [], 99, R64) == 0

@@ -221,9 +221,9 @@ class TestViews:
                 if m.kind is MessageKind.SHARE_DISTRIBUTION
             ]
             generated = [
-                b.mask_id
+                pos.mask_id
                 for inst in run.engine.instances.values()
                 if inst.ttp == party
-                for b in inst.ttp_bundles
+                for pos in inst.positions
             ]
             assert sorted(sent) == sorted(generated)
