@@ -26,7 +26,7 @@ for policy in (Policy.FLAWED, Policy.SECURE):
     recovered = reconstruct_inputs(view)
     print(f"\n--- policy: {policy.value} ---")
     if recovered:
-        for party in sorted(recovered, key=lambda p: p.sort_key):
+        for party in sorted(recovered):
             truth = vectors[party.index - 1]
             print(
                 f"TTP recovered {party}: {recovered[party]}"
@@ -38,8 +38,6 @@ for policy in (Policy.FLAWED, Policy.SECURE):
     learned = sorted(a for a in atoms if a.startswith("input:"))
     print("inputs in the TTP's knowledge closure:", learned or "none")
     if policy is Policy.SECURE:
-        for party, guess in sorted(
-            forced_guess_inputs(view).items(), key=lambda kv: kv[0].sort_key
-        ):
+        for party, guess in sorted(forced_guess_inputs(view).items()):
             truth = vectors[party.index - 1]
             print(f"stale-mask guess for {party}: {guess}  exact={guess == truth}")

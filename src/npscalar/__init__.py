@@ -44,7 +44,6 @@ from .protocol import (
 )
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
 from .shares import (
-    MaskIdAllocator,
     Rng,
     ShareBundle,
     generate_share_bundles,
@@ -61,7 +60,6 @@ __all__ = [
     "InstanceCensus",
     "InstanceShapeError",
     "KnowledgeSet",
-    "MaskIdAllocator",
     "Message",
     "MessageKind",
     "ModVector",

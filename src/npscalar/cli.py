@@ -51,7 +51,6 @@ def _load_config(args) -> RunConfig:
     modulus = args.modulus or _env("modulus")
     if modulus:
         cfg.modulus = parse_modulus(modulus)
-        cfg.parties = [(n, tuple(e % cfg.modulus for e in v)) for n, v in cfg.parties]
     transcript = getattr(args, "transcript", None) or _env("transcript")
     if transcript:
         cfg.emit_transcript = transcript
@@ -121,7 +120,7 @@ def cmd_attack_demo(args) -> int:
         recovered = analysis.reconstruct_inputs(view)
         lines.append(f"policy {policy.value}:")
         if recovered:
-            for party in sorted(recovered, key=lambda p: p.sort_key):
+            for party in sorted(recovered):
                 exact = recovered[party] == truth[str(party)]
                 lines.append(
                     f"  recovered {name_of[str(party)]}: {list(recovered[party])}"

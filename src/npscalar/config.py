@@ -13,7 +13,6 @@ Example::
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import yaml
@@ -46,7 +45,9 @@ def parse_modulus(spec) -> int:
 
 @dataclass
 class RunConfig:
-    parties: list = field(default_factory=list)  # [(name, tuple of entries)]
+    # [(name, tuple of entries)], as written; `vectors` reduces them by
+    # `modulus`, which the command line may still override
+    parties: list = field(default_factory=list)
     modulus: int = DEFAULT_MODULUS
     seed: int = 0
     policy: Policy = Policy.SECURE
@@ -59,7 +60,7 @@ class RunConfig:
 
     @property
     def vectors(self) -> list:
-        return [vec for _, vec in self.parties]
+        return [tuple(e % self.modulus for e in vec) for _, vec in self.parties]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -95,10 +96,9 @@ def parse_config(text: str) -> RunConfig:
     for name, vec in parties_raw.items():
         if not isinstance(vec, (list, tuple)) or not vec:
             raise ConfigError(f"party {name!r} needs a nonempty vector")
-        try:
-            entries = tuple(operator.index(e) % modulus for e in vec)
-        except TypeError:
-            raise ConfigError(f"party {name!r} has a non-integer entry") from None
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in vec):
+            raise ConfigError(f"party {name!r} has a non-integer entry")
+        entries = tuple(vec)
         if length is None:
             length = len(entries)
         elif len(entries) != length:

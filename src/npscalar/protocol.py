@@ -57,7 +57,7 @@ from .errors import (
 )
 from .parties import PartyId
 from .ring import ModVector, Ring, product_trace
-from .shares import MaskIdAllocator, Rng, ShareBundle, generate_share_bundles
+from .shares import Rng, ShareBundle, generate_share_bundles
 from .simnet import MessageKind, Network, View
 
 
@@ -125,7 +125,7 @@ def assign_ttp(
     if policy is Policy.FLAWED:
         return parent_ttp
     involved = set(participants)
-    for party in sorted(pool, key=lambda p: p.sort_key):
+    for party in sorted(pool):
         if party not in involved:
             return party
     raise TtpAssignmentError("no eligible trusted third party")
@@ -267,10 +267,9 @@ def _out_of_range(inst: ProtocolInstance, msg, position: int):
 
 
 def _check_party(inst, msg, position: int, role: str, party, expected) -> None:
-    """Reject a message whose sender or recipient is not the party the
-    instance expects. Owners are the very objects passed to `send`, so
-    identity settles the check without the dataclass `__eq__`."""
-    if party is not expected and party != expected:
+    """Reject a message whose `role` party (sender or recipient) is not the
+    party the instance expects at `position`."""
+    if party != expected:
         problem = f"{role} {party}, expected {expected}"
         raise _rejected(inst, msg.kind, position, problem)
 
@@ -286,7 +285,7 @@ class ProtocolEngine:
         self.pool = list(pool)
         self.instances: dict[int, ProtocolInstance] = {}
         self._ids = itertools.count()
-        self.mask_ids = MaskIdAllocator()
+        self.mask_ids = itertools.count()
         # (participants, parent TTP) -> TTP; exact, as the policy and the
         # pool are fixed for the run
         self._ttps: dict[tuple, PartyId] = {}
@@ -378,8 +377,15 @@ class ProtocolEngine:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, msg) -> None:
-        handler = self._HANDLERS[msg.kind]
-        handler(self, self.instances[msg.instance_id], msg)
+        try:
+            inst = self.instances[msg.instance_id]
+        except KeyError:
+            key = "position" if msg.kind is MessageKind.SHARE_DISTRIBUTION else "to_pos"
+            raise ProtocolStateError(
+                f"instance {msg.instance_id}: {msg.kind.value} at position "
+                f"{msg.payload.get(key)}: no such instance"
+            ) from None
+        self._HANDLERS[msg.kind](self, inst, msg)
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = msg.payload["position"]
@@ -390,7 +396,12 @@ class ProtocolEngine:
         _check_party(inst, msg, i, "recipient", msg.recipient, pos.owner)
         if pos.mask is not None:
             raise _rejected(inst, msg.kind, i, "duplicate")
-        pos.mask = ModVector._reduced(msg.payload["mask"], self.ring)
+        mask = msg.payload["mask"]
+        length = len(pos.vector.entries)
+        if len(mask) != length:
+            problem = f"{len(mask)} mask entries, expected {length}"
+            raise _rejected(inst, msg.kind, i, problem)
+        pos.mask = ModVector._reduced(mask, self.ring)
         pos.share = msg.payload["share"]
         pos.mask_id = msg.meta["mask_id"]
         self._send_masked(inst, i)
@@ -427,7 +438,12 @@ class ProtocolEngine:
         _check_party(inst, msg, j, "recipient", msg.recipient, pos.owner)
         if pos.masked is None or i in pos.masked:
             raise _rejected(inst, msg.kind, j, f"duplicate from position {i}")
-        pos.masked[i] = ModVector._reduced(msg.payload["values"], self.ring)
+        values = msg.payload["values"]
+        length = len(pos.vector.entries)
+        if len(values) != length:
+            problem = f"{len(values)} values from position {i}, expected {length}"
+            raise _rejected(inst, msg.kind, j, problem)
+        pos.masked[i] = ModVector._reduced(values, self.ring)
         self._maybe_chain(inst, j)
 
     # -- chain -------------------------------------------------------------

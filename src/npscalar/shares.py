@@ -12,7 +12,7 @@ import itertools
 import random
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InstanceShapeError
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
@@ -46,16 +46,6 @@ class Rng:
         return ModVector((self._r.randrange(ring.modulus) for _ in range(length)), ring)
 
 
-class MaskIdAllocator:
-    """Hands out run-unique mask identifiers; masks are never reused."""
-
-    def __init__(self):
-        self._counter = itertools.count()
-
-    def fresh(self) -> int:
-        return next(self._counter)
-
-
 @dataclass(frozen=True)
 class ShareBundle:
     """One party's correlated randomness: a mask vector and a scalar share.
@@ -83,21 +73,23 @@ def generate_share_bundles(
     length: int,
     ring: Ring,
     rng: Rng,
-    ids: Optional[MaskIdAllocator] = None,
+    ids: Optional[Iterator[int]] = None,
 ) -> list[ShareBundle]:
     """Fresh correlated randomness for an n-position instance.
 
     Mask vectors are uniform; scalar shares additively split the trace of
-    the product of all masks. Every bundle gets a fresh mask id.
+    the product of all masks. Every bundle gets the next mask id from
+    `ids`; one counter per run keeps mask ids unique, so masks are never
+    reused.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
     if length < 1:
         raise InstanceShapeError("vector length must be >= 1")
-    ids = ids if ids is not None else MaskIdAllocator()
+    ids = ids if ids is not None else itertools.count()
     masks = [rng.vector(ring, length) for _ in range(n)]
     shares = split_value(product_trace(masks, ring), n, ring, rng)
     return [
-        ShareBundle(mask=masks[i], share=shares[i], mask_id=ids.fresh())
+        ShareBundle(mask=masks[i], share=shares[i], mask_id=next(ids))
         for i in range(n)
     ]

@@ -124,7 +124,7 @@ class TestCliCommands:
         assert err.startswith("error: ")
         assert variable in err and repr(value) in err
 
-    @pytest.mark.parametrize("entries", ["[1.5, 2]", "[x, 2]"])
+    @pytest.mark.parametrize("entries", ["[1.5, 2]", "[x, 2]", "[true, 2]"])
     def test_non_integer_entry_is_error(self, entries, tmp_path, capsys):
         path = tmp_path / "entries.yaml"
         path.write_text(f"parties:\n  a: [1, 2]\n  b: {entries}\n")
@@ -133,6 +133,23 @@ class TestCliCommands:
         assert status == 2
         assert "result:" not in out
         assert err == "error: party 'b' has a non-integer entry\n"
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_modulus_override_reduces_written_entries(
+        self, via, tmp_path, capsys, monkeypatch
+    ):
+        """An overriding modulus reduces the entries as written: -1 is 250
+        mod 251, not 2^64 - 1 reduced a second time."""
+        path = tmp_path / "negative.yaml"
+        path.write_text("parties:\n  a: [-1, 2]\n  b: [3, 4]\n")
+        flags = ["--modulus", "251"] if via == "flag" else []
+        if via == "env":
+            monkeypatch.setenv("NPSCALAR_MODULUS", "251")
+        assert main(["oracle", "--config", str(path), *flags]) == 0
+        assert main(["run", "--config", str(path), "--verify", *flags]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "oracle: 5"
+        assert "result: 5" in out and "modulus: 251" in out
 
     def test_attack_demo_dichotomy(self, config_path, capsys):
         status = main(["attack-demo", "--config", config_path])

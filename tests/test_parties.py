@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -24,17 +23,27 @@ class TestHash:
     def test_constructors_hash_equally(self):
         for made in (
             [PartyId.data(3), PartyId.from_str("p3"), PartyId("data", 3),
-             dataclasses.replace(PartyId.data(1), index=3)],
+             PartyId.data(1)._replace(index=3)],
             [PartyId.ttp("ttp"), PartyId.from_str("ttp:ttp"),
-             dataclasses.replace(PartyId.ttp("other"), label="ttp")],
+             PartyId.ttp("other")._replace(label="ttp")],
         ):
             assert len({hash(p) for p in made}) == 1
             assert all(p == made[0] for p in made)
             assert {made[0]: 1}[made[-1]] == 1
 
     def test_distinct_ids_differ(self):
-        ids = [PartyId.data(1), PartyId.data(2), PartyId.ttp("ttp"), PartyId.ttp("x")]
-        assert len(set(ids)) == 4
+        """Ids order as (kind, index, label): data parties by index, so p2
+        comes before p10 as string order would not have it, then TTPs by
+        label."""
+        ids = [
+            PartyId.data(1),
+            PartyId.data(2),
+            PartyId.data(10),
+            PartyId.ttp("a"),
+            PartyId.ttp("ttp"),
+            PartyId.ttp("x"),
+        ]
+        assert len(set(ids)) == 6
         assert PartyId.data(1) != PartyId.ttp("p1")
         assert PartyId.data(1) != "p1"
         assert sorted(reversed(ids)) == ids
@@ -44,7 +53,7 @@ class TestHash:
             other = PartyId.data(7) if party.kind == "data" else PartyId.ttp("x")
             rebuilt = (
                 pickle.loads(pickle.dumps(party)),
-                dataclasses.replace(other, index=party.index, label=party.label),
+                other._replace(index=party.index, label=party.label),
                 PartyId.from_str(text),
             )
             assert str(party) == text

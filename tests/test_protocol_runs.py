@@ -379,8 +379,8 @@ class TestShuffledDelivery:
 
 class MisroutingNetwork(Network):
     """Rewrites one field of the first delivered message that `pick`
-    selects to `value(msg)`: its sender, its recipient or a payload
-    field."""
+    selects to `value(msg)`: its sender, its recipient, its instance id or
+    a payload field."""
 
     def __init__(self, pick, field, value):
         super().__init__()
@@ -392,7 +392,7 @@ class MisroutingNetwork(Network):
     def deliver_next(self):
         msg = super().deliver_next()
         if msg is not None and self.misrouted is None and self.pick(msg):
-            if self.field in ("sender", "recipient"):
+            if self.field in ("sender", "recipient", "instance_id"):
                 setattr(msg, self.field, self.value(msg))
             else:
                 msg.payload = {**msg.payload, self.field: self.value(msg)}
@@ -483,6 +483,33 @@ class TestMisrouteRejection:
         msg, error = self._run(monkeypatch, pick, "sender", other_party)
         expected = senders[0]
         assert error == f"{_named(msg)} sender {msg.sender}, expected {expected}"
+
+
+    @pytest.mark.parametrize("case", list(MISROUTES))
+    def test_unknown_instance(self, case, monkeypatch):
+        pick, _ = MISROUTES[case]
+        msg, error = self._run(monkeypatch, pick, "instance_id", lambda msg: 10**6)
+        assert error == f"{_named(msg)} no such instance"
+
+    @pytest.mark.parametrize(
+        "kind,field,problem",
+        [
+            (MessageKind.SHARE_DISTRIBUTION, "mask", "1 mask entries, expected 2"),
+            (
+                MessageKind.MASKED_MATRIX,
+                "values",
+                "1 values from position {from_pos}, expected 2",
+            ),
+        ],
+        ids=["ShareDistribution", "MaskedMatrixBroadcast"],
+    )
+    def test_truncated_vector(self, kind, field, problem, monkeypatch):
+        """A vector payload shorter than the receiving position's vector is
+        rejected on arrival, not when the chain multiplies it."""
+        msg, error = self._run(
+            monkeypatch, _of_kind(kind), field, lambda msg: msg.payload[field][:1]
+        )
+        assert error == f"{_named(msg)} {problem.format(**msg.payload)}"
 
 
 class TestTamperedShare:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from npscalar import (
@@ -113,6 +115,22 @@ class TestAssignTtp:
             pool,
         )
         assert got == PartyId.data(1)
+
+    def test_secure_ignores_pool_order(self):
+        """The choice is the lowest id by index, not by string ("p10" <
+        "p2"), whatever order the pool comes in."""
+        pool = [PartyId.data(i) for i in (1, 2, 10)]
+        pool += [PartyId.ttp("a"), PartyId.ttp("main")]
+        got = {
+            assign_ttp(
+                [PartyId.data(1), PartyId.ttp("main")],
+                Policy.SECURE,
+                PartyId.ttp("main"),
+                order,
+            )
+            for order in itertools.permutations(pool)
+        }
+        assert got == {PartyId.data(2)}
 
     def test_secure_exhausted_pool(self):
         with pytest.raises(TtpAssignmentError):

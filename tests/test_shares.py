@@ -1,10 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from npscalar import (
     InstanceShapeError,
-    MaskIdAllocator,
     Ring,
     Rng,
     generate_share_bundles,
@@ -67,7 +67,7 @@ class TestShareBundles:
         ]
 
     def test_fresh_ids(self):
-        alloc = MaskIdAllocator()
+        alloc = itertools.count()
         a = generate_share_bundles(3, 1, R64, Rng(0), ids=alloc)
         b = generate_share_bundles(3, 1, R64, Rng(1), ids=alloc)
         ids = [x.mask_id for x in a + b]
