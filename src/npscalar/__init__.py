@@ -34,7 +34,6 @@ from .protocol import (
     Policy,
     ProtocolEngine,
     RunResult,
-    SubInstanceSpec,
     aggregate_final,
     assign_ttp,
     chain_init,
@@ -75,7 +74,6 @@ __all__ = [
     "RunResult",
     "ScalarProtocolError",
     "ShareBundle",
-    "SubInstanceSpec",
     "Transcript",
     "TtpAssignmentError",
     "View",

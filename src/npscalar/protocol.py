@@ -66,48 +66,23 @@ class Policy(Enum):
     FLAWED = "flawed"
 
 
-@dataclass(frozen=True)
-class SubInstanceSpec:
-    """One sub-instance: which parent positions stay plaintext, and the
-    multiplicity its result carries in the parent's aggregation."""
-
-    kept: frozenset
-    coefficient: int
-
-    def __post_init__(self):
-        if not self.kept:
-            raise InstanceShapeError("a sub-instance must keep at least one position")
-        if self.coefficient < 1:
-            raise InstanceShapeError("sub-instance coefficient must be >= 1")
-
-
-def enumerate_sub_instances(n: int) -> list[SubInstanceSpec]:
-    """All sub-instances of an n-position instance, in deterministic order.
+@functools.cache
+def enumerate_sub_instances(n: int) -> tuple:
+    """All sub-instances of an n-position instance, in deterministic order,
+    as (kept, dropped, coefficient): the parent positions that stay
+    plaintext and those whose masks collapse, each in order, and the
+    multiplicity the result carries in the parent's aggregation.
 
     Subsets of size 1..n-2 are kept as data; a kept subset of size t has
-    coefficient n-1-t. There are exactly 2**n - n - 2 of them.
+    coefficient n-1-t. There are exactly 2**n - n - 2 of them. The plan is
+    built once per size and shared by every instance of that size.
     """
     if n < 2:
         raise InstanceShapeError("instances need at least 2 positions")
-    specs = []
-    for t in range(1, n - 1):
-        for combo in itertools.combinations(range(1, n + 1), t):
-            specs.append(SubInstanceSpec(frozenset(combo), n - 1 - t))
-    return specs
-
-
-@functools.cache
-def _sub_plan(m: int) -> tuple:
-    """Every sub-instance of an m-position instance as (spec, kept positions
-    in order, dropped positions in order). Built once per size and shared by
-    every instance of that size; all of it is immutable."""
     return tuple(
-        (
-            spec,
-            tuple(sorted(spec.kept)),
-            tuple(j for j in range(1, m + 1) if j not in spec.kept),
-        )
-        for spec in enumerate_sub_instances(m)
+        (kept, tuple(j for j in range(1, n + 1) if j not in kept), n - 1 - t)
+        for t in range(1, n - 1)
+        for kept in itertools.combinations(range(1, n + 1), t)
     )
 
 
@@ -165,15 +140,15 @@ def chain_step(
 
 def aggregate_final(
     chain_last: int,
-    sub_results: Sequence[tuple[SubInstanceSpec, int]],
+    sub_results: Sequence[tuple[int, int]],
     output_mask: int,
     ring: Ring,
 ) -> int:
-    """Combine the last chain value, the weighted sub-results and the
-    output mask into the scalar product."""
+    """Combine the last chain value, the (coefficient, value) sub-results
+    and the output mask into the scalar product."""
     total = chain_last
-    for spec, value in sub_results:
-        total += spec.coefficient * value
+    for coefficient, value in sub_results:
+        total += coefficient * value
     return ring.reduce(total + output_mask)
 
 
@@ -234,10 +209,11 @@ class ProtocolInstance:
         self.positions: list[_Position] = positions
         self.ttp = ttp
         self.parent_id = parent_id
-        self.kept: tuple[int, ...] = kept  # spec.kept in order; () at the top
+        self.kept: tuple[int, ...] = kept  # parent positions in order; () at the top
         self.depth = depth
-        self.pending_subs: dict[frozenset, SubInstanceSpec] = {}  # kept -> spec
-        self.sub_results: list[tuple[SubInstanceSpec, int]] = []
+        # kept -> coefficient, in plan order, for the children still to report
+        self.pending_subs: dict[tuple[int, ...], int] = {}
+        self.sub_results: list[tuple[int, int]] = []  # (coefficient, value)
         self.chain_final: Optional[int] = None
         self.result: Optional[int] = None
         # positions that got the published result; only the top instance
@@ -325,21 +301,20 @@ class ProtocolEngine:
                 },
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
             )
-        for spec, kept, dropped in _sub_plan(m):
-            self.start(self.spawn_sub_instance(inst, bundles, spec, kept, dropped))
+        for sub in enumerate_sub_instances(m):
+            self.start(self.spawn_sub_instance(inst, bundles, *sub))
 
     def spawn_sub_instance(
         self,
         parent: ProtocolInstance,
         bundles: Sequence[ShareBundle],
-        spec: SubInstanceSpec,
         kept: tuple[int, ...],
         dropped: tuple[int, ...],
+        coefficient: int,
     ) -> ProtocolInstance:
-        """Build the child instance for one kept subset of parent positions;
-        `bundles` are the ones the parent's TTP generated, in position
-        order, and `kept` and `dropped` are the parent positions in and out
-        of `spec.kept`, in order.
+        """Build the child instance for one entry of the parent's
+        sub-instance plan; `bundles` are the ones the parent's TTP
+        generated, in position order.
 
         Kept positions carry their vectors over unchanged; the remaining
         positions' masks collapse into one product vector held by the
@@ -371,7 +346,7 @@ class ProtocolEngine:
             kept=kept,
             depth=parent.depth + 1,
         )
-        parent.pending_subs[spec.kept] = spec
+        parent.pending_subs[kept] = coefficient
         return child
 
     # -- dispatch ----------------------------------------------------------
@@ -520,15 +495,17 @@ class ProtocolEngine:
         if to_pos != 1:
             raise _rejected(inst, msg.kind, to_pos, "sub-results go to position 1")
         _check_party(inst, msg, 1, "recipient", msg.recipient, inst.positions[0].owner)
-        kept = frozenset(msg.payload["kept"])
-        spec = inst.pending_subs.pop(kept, None)
-        if spec is None:
-            seen = any(s.kept == kept for s, _ in inst.sub_results)
-            problem = "duplicate" if seen else "unexpected"
-            raise _rejected(inst, msg.kind, 1, f"{problem} for kept {sorted(kept)}")
-        first = inst.positions[min(kept) - 1]  # the child's position 1
+        kept = tuple(msg.payload["kept"])
+        coefficient = inst.pending_subs.pop(kept, None)
+        if coefficient is None:
+            # every child registers while its parent starts, so a planned
+            # kept tuple that is no longer pending has already reported
+            planned = any(k == kept for k, _, _ in enumerate_sub_instances(inst.n))
+            problem = "duplicate" if planned else "unexpected"
+            raise _rejected(inst, msg.kind, 1, f"{problem} for kept {list(kept)}")
+        first = inst.positions[kept[0] - 1]  # the child's position 1
         _check_party(inst, msg, 1, "sender", msg.sender, first.owner)
-        inst.sub_results.append((spec, msg.payload["value"]))
+        inst.sub_results.append((coefficient, msg.payload["value"]))
         self._maybe_finalize(inst)
 
     def _maybe_finalize(self, inst: ProtocolInstance) -> None:
@@ -616,10 +593,6 @@ class RunResult:
     def message_count(self) -> int:
         return len(self.net.transcript)
 
-    @property
-    def max_depth(self) -> int:
-        return max(i.depth for i in self.engine.instances.values())
-
     def per_depth_counts(self) -> list[int]:
         depths = [i.depth for i in self.engine.instances.values()]
         return [depths.count(d) for d in range(max(depths) + 1)]
@@ -647,7 +620,7 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
             return _rejected(inst, MessageKind.CHAIN_VALUE, j, "missing")
     if inst.chain_final is None:
         return _rejected(inst, MessageKind.CHAIN_VALUE, 1, "missing closing value")
-    kept = sorted(next(iter(inst.pending_subs)))
+    kept = list(next(iter(inst.pending_subs)))
     return _rejected(inst, MessageKind.SUB_RESULT, 1, f"missing for kept {kept}")
 
 

@@ -100,14 +100,6 @@ class ModVector:
             self.ring,
         )
 
-    def sub(self, other: "ModVector") -> "ModVector":
-        self._check(other)
-        reduce = self.ring.modulus.__rmod__
-        return ModVector._reduced(
-            tuple(map(reduce, map(operator.sub, self.entries, other.entries))),
-            self.ring,
-        )
-
     def hadamard(self, other: "ModVector") -> "ModVector":
         """Entrywise product (the product of two diagonal matrices)."""
         self._check(other)

@@ -79,7 +79,7 @@ class TestCompletionAndStructure:
             insts = run.engine.instances
             assert all(i.result is not None for i in insts.values())
             assert insts[0].final_delivered == set(range(1, n + 1))
-            assert run.max_depth <= max(n - 2, 0)
+            assert len(run.per_depth_counts()) - 1 <= max(n - 2, 0)
 
     def test_executed_counts_match_census(self):
         for n in (2, 3, 4, 5):
@@ -204,14 +204,20 @@ def _named(msg):
 
 class TestDuplicateRejection:
     @pytest.mark.parametrize(
-        "pick",
+        "pick,problem",
         [
-            _of_kind(MessageKind.SHARE_DISTRIBUTION),
-            _of_kind(MessageKind.MASKED_MATRIX),
-            _chain_to(closing=False),
-            _chain_to(closing=True),
-            _of_kind(MessageKind.SUB_RESULT),
-            _of_kind(MessageKind.FINAL_RESULT),
+            (_of_kind(MessageKind.SHARE_DISTRIBUTION), lambda p: "duplicate"),
+            (
+                _of_kind(MessageKind.MASKED_MATRIX),
+                lambda p: f"duplicate from position {p['from_pos']}",
+            ),
+            (_chain_to(closing=False), lambda p: f"out-of-order index {p['index']}"),
+            (_chain_to(closing=True), lambda p: "duplicate closing value"),
+            (
+                _of_kind(MessageKind.SUB_RESULT),
+                lambda p: f"duplicate for kept {list(p['kept'])}",
+            ),
+            (_of_kind(MessageKind.FINAL_RESULT), lambda p: "duplicate"),
         ],
         ids=[
             "ShareDistribution",
@@ -222,7 +228,7 @@ class TestDuplicateRejection:
             "FinalResult",
         ],
     )
-    def test_duplicate_raises_and_names_it(self, pick, monkeypatch):
+    def test_duplicate_raises_and_names_it(self, pick, problem, monkeypatch):
         nets = []
 
         def network():
@@ -233,7 +239,7 @@ class TestDuplicateRejection:
         with pytest.raises(ProtocolStateError) as err:
             run_protocol(random_vectors(3, 2, 11), seed=11)
         msg = nets[0].duplicated
-        assert str(err.value).startswith(_named(msg))
+        assert str(err.value) == f"{_named(msg)} {problem(msg.payload)}"
 
     def test_masked_duplicate_after_step(self, monkeypatch):
         """A masked vector that arrives again after its receiving position
@@ -281,20 +287,39 @@ class DroppingNetwork(Network):
         return super().deliver_next()
 
 
+class SilencingNetwork(Network):
+    """Never delivers any message that `pick` selects."""
+
+    def __init__(self, pick):
+        super().__init__()
+        self.pick = pick
+
+    def deliver_next(self):
+        while self._pending and self.pick(self._pending[0]):
+            self._pending.popleft()
+        return super().deliver_next()
+
+
 class TestDropRejection:
     """A dropped message leaves the run unfinished; the error names the
     instance that lost it, even when that is a sub-instance, and the kind
     and receiving position of the missing message."""
 
     @pytest.mark.parametrize(
-        "pick",
+        "pick,problem",
         [
-            _sub(_of_kind(MessageKind.SHARE_DISTRIBUTION)),
-            _sub(_of_kind(MessageKind.MASKED_MATRIX)),
-            _sub(_chain_to(closing=False)),
-            _sub(_chain_to(closing=True)),
-            _sub(_of_kind(MessageKind.SUB_RESULT)),
-            _top(_of_kind(MessageKind.FINAL_RESULT)),
+            (_sub(_of_kind(MessageKind.SHARE_DISTRIBUTION)), lambda p: "missing"),
+            (
+                _sub(_of_kind(MessageKind.MASKED_MATRIX)),
+                lambda p: f"missing from position {p['from_pos']}",
+            ),
+            (_sub(_chain_to(closing=False)), lambda p: "missing"),
+            (_sub(_chain_to(closing=True)), lambda p: "missing closing value"),
+            (
+                _sub(_of_kind(MessageKind.SUB_RESULT)),
+                lambda p: f"missing for kept {list(p['kept'])}",
+            ),
+            (_top(_of_kind(MessageKind.FINAL_RESULT)), lambda p: "missing"),
         ],
         ids=[
             "sub-ShareDistribution",
@@ -305,8 +330,32 @@ class TestDropRejection:
             "top-FinalResult",
         ],
     )
-    def test_drop_raises_and_names_instance(self, pick, monkeypatch):
-        self._check(monkeypatch, pick, random_vectors(4, 2, 13), seed=13)
+    def test_drop_raises_and_names_instance(self, pick, problem, monkeypatch):
+        msg, error = self._check(monkeypatch, pick, random_vectors(4, 2, 13), seed=13)
+        assert error == f"{_named(msg)} {problem(msg.payload)}"
+
+    @pytest.mark.parametrize(
+        "sizes,first", [((1, 2), [1]), ((2,), [1, 2])], ids=["all", "pairs"]
+    )
+    def test_first_missing_sub_result_in_plan_order(self, sizes, first, monkeypatch):
+        """With several sub-results of the top instance lost, the error
+        names the first missing child in plan order."""
+
+        def lost(msg):
+            return (
+                msg.kind is MessageKind.SUB_RESULT
+                and msg.instance_id == 0
+                and len(msg.payload["kept"]) in sizes
+            )
+
+        monkeypatch.setattr(
+            npscalar.protocol, "Network", lambda: SilencingNetwork(lost)
+        )
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(4, 2, 13), seed=13)
+        assert str(err.value) == (
+            f"instance 0: SubResult at position 1: missing for kept {first}"
+        )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_drop_raises_and_names_it(self, seed, monkeypatch):
@@ -335,6 +384,7 @@ class TestDropRejection:
         msg = nets[0].dropped
         assert msg is not None
         assert str(err.value).startswith(_named(msg))
+        return msg, str(err.value)
 
 
 class ShufflingNetwork(Network):
@@ -418,7 +468,7 @@ class TestMisrouteRejection:
 
     N = 3
 
-    def _run(self, monkeypatch, pick, field, value):
+    def _run(self, monkeypatch, pick, field, value, n=N):
         nets = []
 
         def network():
@@ -427,7 +477,7 @@ class TestMisrouteRejection:
 
         monkeypatch.setattr(npscalar.protocol, "Network", network)
         with pytest.raises(ProtocolStateError) as err:
-            run_protocol(random_vectors(self.N, 2, 11), seed=11)
+            run_protocol(random_vectors(n, 2, 11), seed=11)
         assert nets[0].misrouted is not None
         return nets[0].misrouted, str(err.value)
 
@@ -443,6 +493,33 @@ class TestMisrouteRejection:
         )
         assert error == (
             f"instance 0: {msg.kind.value} at position {bad}: {problem}"
+        )
+
+    @pytest.mark.parametrize("kept", [(1, 2, 3), (4,)])
+    def test_unexpected_sub_result(self, kept, monkeypatch):
+        """A kept set that is not in the plan: the whole instance, or a
+        position it does not have."""
+        _, error = self._run(
+            monkeypatch, _of_kind(MessageKind.SUB_RESULT), "kept", lambda msg: kept
+        )
+        assert error == (
+            f"instance 0: SubResult at position 1: unexpected for kept {list(kept)}"
+        )
+
+    def test_reordered_kept_is_unexpected(self, monkeypatch):
+        """The plan holds each kept set in position order; the same set in
+        another order is not in it."""
+
+        def pair(msg):
+            return msg.kind is MessageKind.SUB_RESULT and len(msg.payload["kept"]) == 2
+
+        msg, error = self._run(
+            monkeypatch, pair, "kept", lambda msg: msg.payload["kept"][::-1], n=4
+        )
+        kept = list(msg.payload["kept"])
+        assert kept[0] > kept[1]
+        assert error == (
+            f"instance 0: SubResult at position 1: unexpected for kept {kept}"
         )
 
     @pytest.mark.parametrize("bad", [0, N + 1, "to_pos"])

@@ -8,7 +8,6 @@ from npscalar import (
     PartyId,
     Policy,
     Ring,
-    SubInstanceSpec,
     TtpAssignmentError,
     aggregate_final,
     assign_ttp,
@@ -58,22 +57,23 @@ class TestChainStep:
 
 class TestEnumerateSubInstances:
     def test_two_positions_have_none(self):
-        assert enumerate_sub_instances(2) == []
+        assert enumerate_sub_instances(2) == ()
 
     def test_three_positions_are_singletons(self):
-        specs = enumerate_sub_instances(3)
-        assert {(tuple(sorted(s.kept)), s.coefficient) for s in specs} == {
-            ((1,), 1),
-            ((2,), 1),
-            ((3,), 1),
-        }
+        assert enumerate_sub_instances(3) == (
+            ((1,), (2, 3), 1),
+            ((2,), (1, 3), 1),
+            ((3,), (1, 2), 1),
+        )
 
     def test_four_positions(self):
-        specs = enumerate_sub_instances(4)
-        assert len(specs) == 10
+        plan = enumerate_sub_instances(4)
+        assert len(plan) == 10
         by_size = {}
-        for s in specs:
-            by_size.setdefault(len(s.kept), set()).add(s.coefficient)
+        for kept, dropped, coefficient in plan:
+            assert sorted(kept + dropped) == [1, 2, 3, 4]
+            assert list(kept) == sorted(kept) and list(dropped) == sorted(dropped)
+            by_size.setdefault(len(kept), set()).add(coefficient)
         assert by_size == {1: {2}, 2: {1}}
 
     @pytest.mark.parametrize("n,count", [(2, 0), (3, 3), (4, 10), (5, 25), (6, 56)])
@@ -83,6 +83,9 @@ class TestEnumerateSubInstances:
     def test_rejects_singleton(self):
         with pytest.raises(InstanceShapeError):
             enumerate_sub_instances(1)
+
+    def test_one_shared_plan_per_size(self):
+        assert enumerate_sub_instances(5) is enumerate_sub_instances(5)
 
 
 class TestAssignTtp:
@@ -139,17 +142,12 @@ class TestAssignTtp:
 
 class TestAggregateFinal:
     def test_zero_mask_degeneracy(self):
-        specs = [
-            (SubInstanceSpec(frozenset({i}), 1), 0) for i in (1, 2, 3)
-        ]
-        assert aggregate_final(R64.reduce(63 - 9), specs, 9, R64) == 63
+        sub_results = [(1, 0)] * 3
+        assert aggregate_final(R64.reduce(63 - 9), sub_results, 9, R64) == 63
 
     def test_coefficients_scale_sub_results(self):
-        specs = [
-            (SubInstanceSpec(frozenset({1}), 2), 5),
-            (SubInstanceSpec(frozenset({2, 3}), 1), 7),
-        ]
-        assert aggregate_final(100, specs, 3, R64) == 100 + 10 + 7 + 3
+        sub_results = [(2, 5), (1, 7)]
+        assert aggregate_final(100, sub_results, 3, R64) == 100 + 10 + 7 + 3
 
 
 class TestTwoPositionChain:

@@ -44,10 +44,6 @@ class TestVectorAddSub:
     def test_add_wraps_modulus(self):
         assert ModVector([5], R7).add(ModVector([3], R7)).entries == (1,)
 
-    def test_sub_inverts_add(self):
-        v, r = vec([10, 20, 30]), vec([7, (1 << 64) - 1, 123])
-        assert v.add(r).sub(r) == v
-
     def test_add_length_mismatch(self):
         with pytest.raises(InputShapeError):
             vec([1]).add(vec([1, 2]))
@@ -100,7 +96,7 @@ def vector_sets(draw, min_count=1, max_count=7):
 class TestKernelsMatchPerEntryReference:
     @pytest.mark.parametrize(
         "method,op",
-        [("add", operator.add), ("sub", operator.sub), ("hadamard", operator.mul)],
+        [("add", operator.add), ("hadamard", operator.mul)],
     )
     @given(case=vector_sets(min_count=2, max_count=2))
     def test_binary_ops(self, method, op, case):
