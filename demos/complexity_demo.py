@@ -1,4 +1,5 @@
-"""Sub-protocol growth: census table plus timed executions up to n=6.
+"""Sub-protocol growth: census table plus timed executions up to n=6,
+each checked against the oracle and the census.
 
 Every n-position instance spawns 2**n - n - 2 children, and children
 recurse, so the total instance count explodes; the protocol is meant for
@@ -27,6 +28,8 @@ for n in range(2, 11):
         ms = (time.perf_counter() - start) * 1000
         assert run.result == plaintext_oracle(vectors, Ring())
         assert run.instance_count == census.total_instances
+        assert run.message_count == census.messages
+        assert run.per_depth_counts() == list(census.per_depth)
         row += f" {ms:>12.1f}"
     else:
         row += f" {'(census only)':>12}"

@@ -1,10 +1,16 @@
 """Batch command-line front door.
 
-Commands: run, attack-demo, count, bench, oracle. Every flag can also be
-supplied through an environment variable with the NPSCALAR_ prefix
-(NPSCALAR_SEED, NPSCALAR_POLICY, NPSCALAR_MODULUS, NPSCALAR_CONFIG,
-NPSCALAR_TRANSCRIPT); explicit flags win over the environment, which wins
-over the config file.
+Commands and the flags each takes:
+
+- run: --config, --modulus, --seed, --policy, --transcript, --verify
+- attack-demo: --config, --modulus, --seed
+- oracle: --config, --modulus
+- count: --min, --max
+
+A command reads the environment variable of a setting it takes:
+NPSCALAR_CONFIG, NPSCALAR_MODULUS, NPSCALAR_SEED, NPSCALAR_POLICY and
+NPSCALAR_TRANSCRIPT. --verify, --min and --max have none. Explicit flags
+win over the environment, which wins over the config file.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from pathlib import Path
 from . import analysis
 from .config import RunConfig, parse_config, parse_modulus
 from .errors import ConfigError, ScalarProtocolError
+from .parties import PartyId
 from .protocol import Policy, run_protocol
 from .ring import Ring
 
@@ -33,29 +40,27 @@ def _load_config(args) -> RunConfig:
     if not path:
         raise ScalarProtocolError("a config file is required (--config PATH)")
     cfg = parse_config(Path(path).read_text())
-    # argparse checks --seed and --policy, so a bad value is the variable's
-    seed = args.seed if args.seed is not None else _env("seed")
-    if seed is not None:
-        try:
-            cfg.seed = int(seed)
-        except ValueError:
-            problem = f"{ENV_PREFIX}SEED must be an integer: {seed!r}"
-            raise ConfigError(problem) from None
-    policy = args.policy or _env("policy")
-    if policy:
-        try:
-            cfg.policy = Policy(policy.lower())
-        except ValueError:
-            problem = f"{ENV_PREFIX}POLICY: unknown policy {policy!r}"
-            raise ConfigError(problem) from None
+    # a command without --seed or --policy ignores its variable; argparse
+    # checks the flags, so a bad value is the variable's
+    if "seed" in args:
+        seed = args.seed if args.seed is not None else _env("seed")
+        if seed is not None:
+            try:
+                cfg.seed = int(seed)
+            except ValueError:
+                problem = f"{ENV_PREFIX}SEED must be an integer: {seed!r}"
+                raise ConfigError(problem) from None
+    if "policy" in args:
+        policy = args.policy or _env("policy")
+        if policy:
+            try:
+                cfg.policy = Policy(policy.lower())
+            except ValueError:
+                problem = f"{ENV_PREFIX}POLICY: unknown policy {policy!r}"
+                raise ConfigError(problem) from None
     modulus = args.modulus or _env("modulus")
     if modulus:
         cfg.modulus = parse_modulus(modulus)
-    transcript = getattr(args, "transcript", None) or _env("transcript")
-    if transcript:
-        cfg.emit_transcript = transcript
-    if getattr(args, "verify", False):
-        cfg.verify = True
     return cfg
 
 
@@ -64,16 +69,13 @@ def _emit(lines) -> None:
         print(line)
 
 
-def _run_once(cfg: RunConfig):
-    return run_protocol(
-        cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
-    )
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    transcript = args.transcript or _env("transcript")
     start = time.perf_counter()
-    run = _run_once(cfg)
+    run = run_protocol(
+        cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
+    )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     lines = [
         f"result: {run.result}",
@@ -85,15 +87,15 @@ def cmd_run(args) -> int:
         f"messages: {run.message_count}",
     ]
     status = 0
-    if cfg.verify:
+    if args.verify:
         oracle = analysis.plaintext_oracle(cfg.vectors, Ring(cfg.modulus))
         match = oracle == run.result
         lines += [f"oracle: {oracle}", f"oracle-match: {str(match).lower()}"]
         status = 0 if match else 1
     lines.append(f"elapsed-ms: {elapsed_ms:.1f}")
-    if cfg.emit_transcript:
-        Path(cfg.emit_transcript).write_text(run.transcript.export_jsonl() + "\n")
-        lines.append(f"transcript: {cfg.emit_transcript}")
+    if transcript:
+        Path(transcript).write_text(run.transcript.export_jsonl() + "\n")
+        lines.append(f"transcript: {transcript}")
     _emit(lines)
     return status
 
@@ -141,7 +143,7 @@ def cmd_attack_demo(args) -> int:
         else:
             outcomes["flawed_full"] = all(
                 recovered.get(p) == truth[str(p)]
-                for p in (analysis.PartyId.data(i + 1) for i in range(len(cfg.parties)))
+                for p in (PartyId.data(i + 1) for i in range(len(cfg.parties)))
             )
     dichotomy = all(outcomes.values())
     lines.append(f"dichotomy: {str(dichotomy).lower()}")
@@ -160,43 +162,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    modulus = parse_modulus(args.modulus) if args.modulus else None
-    seed = args.seed if args.seed is not None else 0
-    policy = Policy(args.policy.lower()) if args.policy else Policy.SECURE
-    import random as _random
-
-    lines = [
-        "n direct total census-messages executed-instances executed-messages"
-        " oracle-match ms"
-    ]
-    status = 0
-    for n in range(args.min, args.max + 1):
-        c = analysis.count_instances(n)
-        row = f"{n} {c.direct_children} {c.total_instances} {c.messages}"
-        if n <= args.execute_max:
-            r = _random.Random(n * 1_000_003 + seed)
-            vectors = [
-                [r.randrange(2) for _ in range(args.length)] for _ in range(n)
-            ]
-            start = time.perf_counter()
-            run = run_protocol(vectors, modulus=modulus, seed=seed, policy=policy)
-            ms = (time.perf_counter() - start) * 1000.0
-            oracle = analysis.plaintext_oracle(vectors, run.ring)
-            match = oracle == run.result
-            if not match:
-                status = 1
-            row += (
-                f" {run.instance_count} {run.message_count}"
-                f" {str(match).lower()} {ms:.1f}"
-            )
-        else:
-            row += " - - - -"
-        lines.append(row)
-    _emit(lines)
-    return status
-
-
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
     value = analysis.plaintext_oracle(cfg.vectors, Ring(cfg.modulus))
@@ -204,17 +169,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(parser, transcript=True, verify=False):
+def _add_common(parser):
     parser.add_argument("--config", help="path to a YAML run config")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--policy", choices=["secure", "flawed"], default=None)
     parser.add_argument("--modulus", default=None, help='e.g. "2^64" or "251"')
-    if transcript:
-        parser.add_argument("--transcript", default=None, help="write a JSONL transcript")
-    if verify:
-        parser.add_argument(
-            "--verify", action="store_true", help="check the result against the oracle"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,11 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute one protocol run")
-    _add_common(p, verify=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--policy", choices=["secure", "flawed"], default=None)
+    p.add_argument("--transcript", default=None, help="write a JSONL transcript")
+    p.add_argument(
+        "--verify", action="store_true", help="check the result against the oracle"
+    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("attack-demo", help="semi-honest TTP attack, both policies")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_attack_demo)
 
     p = sub.add_parser("count", help="instance census table")
@@ -238,16 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=10)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("bench", help="census plus timed executions")
-    p.add_argument("--min", type=int, default=2)
-    p.add_argument("--max", type=int, default=10)
-    p.add_argument("--execute-max", type=int, default=6)
-    p.add_argument("--length", type=int, default=4)
-    _add_common(p, transcript=False)
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("oracle", help="plaintext oracle value for a config")
-    _add_common(p, transcript=False)
+    _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -51,8 +51,6 @@ class RunConfig:
     modulus: int = DEFAULT_MODULUS
     seed: int = 0
     policy: Policy = Policy.SECURE
-    emit_transcript: str | None = None
-    verify: bool = False
 
     @property
     def names(self) -> list:
@@ -72,7 +70,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
 
-    known = {"modulus", "seed", "policy", "parties", "emit-transcript", "verify"}
+    known = {"modulus", "seed", "policy", "parties"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -116,6 +114,4 @@ def parse_config(text: str) -> RunConfig:
         modulus=modulus,
         seed=seed,
         policy=policy,
-        emit_transcript=raw.get("emit-transcript"),
-        verify=bool(raw.get("verify", False)),
     )

@@ -495,8 +495,12 @@ class ProtocolEngine:
         if to_pos != 1:
             raise _rejected(inst, msg.kind, to_pos, "sub-results go to position 1")
         _check_party(inst, msg, 1, "recipient", msg.recipient, inst.positions[0].owner)
-        kept = tuple(msg.payload["kept"])
-        coefficient = inst.pending_subs.pop(kept, None)
+        try:
+            kept = tuple(msg.payload["kept"])
+            coefficient = inst.pending_subs.pop(kept, None)
+        except TypeError:  # not a sequence of hashable positions
+            problem = f"unexpected for kept {msg.payload['kept']}"
+            raise _rejected(inst, msg.kind, 1, problem) from None
         if coefficient is None:
             # every child registers while its parent starts, so a planned
             # kept tuple that is no longer pending has already reported

@@ -1,4 +1,7 @@
+import re
+import shlex
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ from npscalar import (
     parse_config,
     parse_modulus,
 )
-from npscalar.cli import main
+from npscalar.cli import build_parser, main
 
 THREE_PARTY = textwrap.dedent(
     """
@@ -124,6 +127,54 @@ class TestCliCommands:
         assert err.startswith("error: ")
         assert variable in err and repr(value) in err
 
+    @pytest.mark.parametrize("command", ["run", "attack-demo", "oracle"])
+    def test_seed_variable_read_only_where_taken(
+        self, command, config_path, capsys, monkeypatch
+    ):
+        """A command that takes no seed ignores NPSCALAR_SEED."""
+        monkeypatch.setenv("NPSCALAR_SEED", "abc")
+        status = main([command, "--config", config_path])
+        err = capsys.readouterr().err
+        if command == "oracle":
+            assert (status, err) == (0, "")
+        else:
+            assert status == 2
+            assert err == "error: NPSCALAR_SEED must be an integer: 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--seed", "1"],
+            ["oracle", "--policy", "flawed"],
+            ["attack-demo", "--policy", "flawed"],
+            ["attack-demo", "--transcript", "x"],
+            ["bench"],
+        ],
+        ids=[
+            "oracle-seed",
+            "oracle-policy",
+            "attack-demo-policy",
+            "attack-demo-transcript",
+            "bench",
+        ],
+    )
+    def test_command_or_flag_not_taken_is_usage_error(
+        self, argv, config_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", config_path])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["emit-transcript: 5", "verify: true"])
+    def test_transcript_and_verify_are_not_config_keys(self, key, tmp_path, capsys):
+        path = tmp_path / "keys.yaml"
+        path.write_text(f"{key}\nparties:\n  a: [1]\n  b: [2]\n")
+        status = main(["run", "--config", str(path)])
+        assert status == 2
+        name = key.split(":")[0]
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{name}']\n"
+
     @pytest.mark.parametrize("entries", ["[1.5, 2]", "[x, 2]", "[true, 2]"])
     def test_non_integer_entry_is_error(self, entries, tmp_path, capsys):
         path = tmp_path / "entries.yaml"
@@ -173,18 +224,6 @@ class TestCliCommands:
         assert "5 25 336" in out
         assert "6 56 5687" in out
 
-    def test_bench_census_and_execution(self, capsys):
-        status = main(
-            ["bench", "--min", "2", "--max", "7", "--execute-max", "4", "--length", "2"]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        for n in (2, 3, 4):
-            row = next(l for l in out.splitlines() if l.startswith(f"{n} "))
-            assert "true" in row
-        row7 = next(l for l in out.splitlines() if l.startswith("7 "))
-        assert row7.endswith("- - - -")
-
     def test_oracle_command(self, config_path, capsys):
         status = main(["oracle", "--config", config_path])
         assert status == 0
@@ -194,3 +233,15 @@ class TestCliCommands:
         status = main(["run"])
         assert status == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every `npscalar` line in the README's CLI block names a command and
+    flags that the parser takes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("npscalar ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

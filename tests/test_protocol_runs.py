@@ -495,15 +495,19 @@ class TestMisrouteRejection:
             f"instance 0: {msg.kind.value} at position {bad}: {problem}"
         )
 
-    @pytest.mark.parametrize("kept", [(1, 2, 3), (4,)])
-    def test_unexpected_sub_result(self, kept, monkeypatch):
-        """A kept set that is not in the plan: the whole instance, or a
-        position it does not have."""
+    @pytest.mark.parametrize(
+        "kept,shown",
+        [((1, 2, 3), "[1, 2, 3]"), ((4,), "[4]"), (4, "4"), ([[1]], "[[1]]")],
+        ids=["kept0", "kept1", "not-a-sequence", "unhashable"],
+    )
+    def test_unexpected_sub_result(self, kept, shown, monkeypatch):
+        """A kept set that is not in the plan: the whole instance, a
+        position it does not have, or no sequence of positions at all."""
         _, error = self._run(
             monkeypatch, _of_kind(MessageKind.SUB_RESULT), "kept", lambda msg: kept
         )
         assert error == (
-            f"instance 0: SubResult at position 1: unexpected for kept {list(kept)}"
+            f"instance 0: SubResult at position 1: unexpected for kept {shown}"
         )
 
     def test_reordered_kept_is_unexpected(self, monkeypatch):
