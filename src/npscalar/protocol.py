@@ -35,10 +35,24 @@ and the previous chain value; position 1 aggregates once the closing chain
 value and every sub-result are in. Messages of different positions or
 stages may therefore arrive in any order the causal chain allows.
 
+Instances run depth first over sibling groups. `start` sends an
+instance's shares and spawns its children in plan order, each registered
+as pending with its parent; the children wait as one group. The run
+delivers until the bus is idle, then starts every member of the newest
+waiting group, and ends once the bus is idle and no group waits. Siblings
+start together, so their messages stay batched by kind in the FIFO. Every
+child is causally enabled when its parent starts, so this is a legal
+schedule: results, message counts per kind and instances per depth are
+those of starting every instance at once; transcript order and RNG draw
+order are not. A sub-instance leaves `engine.instances` once it sends its
+sub-result, so only unfinished instances and unstarted groups are live,
+and a message for a released instance is rejected as one for no such
+instance.
+
 A position computes with the mask, share and mask id its share
-distribution carried. The TTP's bundles live only while `start` builds
-the instance's children, whose collapsed mask products are the TTP's own
-knowledge.
+distribution carried. The TTP's bundles live only while `start` spawns
+the instance's children: each child's collapsed mask product, the TTP's
+own knowledge, is built then, before the child starts.
 """
 
 from __future__ import annotations
@@ -259,7 +273,13 @@ class ProtocolEngine:
         self.policy = policy
         self.net = net
         self.pool = list(pool)
+        # instances spawned and not yet reported; a sub-instance leaves once
+        # it sends its sub-result, so the top instance is the last one left
         self.instances: dict[int, ProtocolInstance] = {}
+        # instances spawned per depth, released ones included
+        self.per_depth: list[int] = []
+        # sibling groups spawned and not yet started, newest last
+        self.unstarted: list[list[ProtocolInstance]] = []
         self._ids = itertools.count()
         self.mask_ids = itertools.count()
         # (participants, parent TTP) -> TTP; exact, as the policy and the
@@ -271,9 +291,17 @@ class ProtocolEngine:
     def new_instance(self, positions, ttp, parent_id=None, kept=(), depth=0):
         inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, kept, depth)
         self.instances[inst.instance_id] = inst
+        if depth < len(self.per_depth):
+            self.per_depth[depth] += 1
+        else:
+            self.per_depth.append(1)
         return inst
 
     def start(self, inst: ProtocolInstance) -> None:
+        """Send the instance's shares and spawn its children in plan order.
+        The children's collapsed mask products are built here, so the
+        bundles die with this call; the children themselves start later,
+        as one sibling group."""
         m = len(inst.positions)
         if m < 2:
             raise InstanceShapeError("instances need at least 2 positions")
@@ -301,8 +329,12 @@ class ProtocolEngine:
                 },
                 {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
             )
-        for sub in enumerate_sub_instances(m):
-            self.start(self.spawn_sub_instance(inst, bundles, *sub))
+        children = [
+            self.spawn_sub_instance(inst, bundles, *sub)
+            for sub in enumerate_sub_instances(m)
+        ]
+        if children:
+            self.unstarted.append(children)
 
     def spawn_sub_instance(
         self,
@@ -497,10 +529,14 @@ class ProtocolEngine:
         _check_party(inst, msg, 1, "recipient", msg.recipient, inst.positions[0].owner)
         try:
             kept = tuple(msg.payload["kept"])
-            coefficient = inst.pending_subs.pop(kept, None)
-        except TypeError:  # not a sequence of hashable positions
+        except TypeError:  # not a sequence
+            kept = None
+        # positions are exactly ints: True == 1 and 1.0 == 1, so either
+        # would match a planned kept tuple
+        if kept is None or not {*map(type, kept)} <= {int}:
             problem = f"unexpected for kept {msg.payload['kept']}"
-            raise _rejected(inst, msg.kind, 1, problem) from None
+            raise _rejected(inst, msg.kind, 1, problem)
+        coefficient = inst.pending_subs.pop(kept, None)
         if coefficient is None:
             # every child registers while its parent starts, so a planned
             # kept tuple that is no longer pending has already reported
@@ -553,6 +589,7 @@ class ProtocolEngine:
                     {"to_pos": j, "value": inst.result},
                 )
         else:
+            del self.instances[inst.instance_id]
             parent = self.instances[inst.parent_id]
             self.net.send(
                 first_owner,
@@ -591,15 +628,14 @@ class RunResult:
 
     @property
     def instance_count(self) -> int:
-        return len(self.engine.instances)
+        return sum(self.engine.per_depth)
 
     @property
     def message_count(self) -> int:
         return len(self.net.transcript)
 
     def per_depth_counts(self) -> list[int]:
-        depths = [i.depth for i in self.engine.instances.values()]
-        return [depths.count(d) for d in range(max(depths) + 1)]
+        return list(self.engine.per_depth)
 
     def view_of(self, party: PartyId) -> View:
         return self.net.view_of(party, self.ring)
@@ -670,11 +706,20 @@ def run_protocol(
     top = engine.new_instance(positions, ttp)
     engine.start(top)
 
-    while (msg := net.deliver_next()) is not None:
-        engine.dispatch(msg)
+    # depth first over sibling groups: drain the bus, then start the newest
+    # group still waiting
+    unstarted = engine.unstarted
+    while True:
+        while (msg := net.deliver_next()) is not None:
+            engine.dispatch(msg)
+        if not unstarted:
+            break
+        for child in unstarted.pop():
+            engine.start(child)
 
-    # a child's id exceeds its parent's, so the newest unfinished instance
-    # is the one that lost a message
+    # every instance has started, and besides the top instance only the
+    # unfinished ones remain; a child's id exceeds its parent's, so the
+    # newest of them is the one that lost a message
     for inst in reversed(engine.instances.values()):
         if inst.result is None:
             raise _stalled(inst)

@@ -1,10 +1,11 @@
 """The benchmark's tracer reaches the engine.
 
 `perfbench/spans.py` wraps engine names from outside: `start`,
-`spawn_sub_instance` and `dispatch` called through `self`, `Network.send`
-returning the `Message`, and the chain functions as module globals. A
-refactor that bypasses one of them leaves a layer with no calls, and the
-traced run then fails its own checks.
+`spawn_sub_instance` and `dispatch` looked up on the engine's class at
+call time, `Network.send` returning the `Message`, and the chain
+functions as module globals. A refactor that bypasses one of them
+leaves a layer with no calls, and the traced run then fails its own
+checks.
 """
 
 import json

@@ -72,13 +72,38 @@ class TestEndToEnd:
         assert run.result == plaintext_oracle(vectors, Ring(251))
 
 
+def _sizes(run):
+    """Instance id -> number of positions: one share distribution each."""
+    return Counter(
+        m.instance_id
+        for m in run.transcript
+        if m.kind is MessageKind.SHARE_DISTRIBUTION
+    )
+
+
+def _sub_results(run):
+    """(parent id, payload) of every sub-result, in transcript order."""
+    return [
+        (m.instance_id, m.payload)
+        for m in run.transcript
+        if m.kind is MessageKind.SUB_RESULT
+    ]
+
+
 class TestCompletionAndStructure:
     def test_all_instances_done_and_depth_bounded(self):
         for n in (2, 3, 4, 5):
             run = run_protocol(random_vectors(n, 2, n), seed=n)
-            insts = run.engine.instances
-            assert all(i.result is not None for i in insts.values())
-            assert insts[0].final_delivered == set(range(1, n + 1))
+            # every sub-instance that got shares reported to its parent
+            children = [p["child"] for _, p in _sub_results(run)]
+            assert sorted(children) == sorted(set(_sizes(run)) - {0})
+            assert len(children) == count_instances(n).total_instances - 1
+            finals = [
+                m.payload["to_pos"]
+                for m in run.transcript
+                if m.kind is MessageKind.FINAL_RESULT and m.instance_id == 0
+            ]
+            assert sorted(finals) == list(range(1, n + 1))
             assert len(run.per_depth_counts()) - 1 <= max(n - 2, 0)
 
     def test_executed_counts_match_census(self):
@@ -94,7 +119,8 @@ class TestCompletionAndStructure:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_message_kinds_match_instances(self, n, policy):
         run = run_protocol(random_vectors(n, 2, n), seed=1, policy=policy)
-        sizes = [inst.n for inst in run.engine.instances.values()]
+        sizes = list(_sizes(run).values())
+        assert len(sizes) == count_instances(n).total_instances
         assert Counter(msg.kind for msg in run.transcript) == Counter(
             {
                 MessageKind.SHARE_DISTRIBUTION: sum(sizes),
@@ -107,39 +133,45 @@ class TestCompletionAndStructure:
 
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
-        insts = run.engine.instances
-        for inst in insts.values():
-            if inst.parent_id is not None:
-                assert inst.n < insts[inst.parent_id].n
+        sizes = _sizes(run)
+        reports = _sub_results(run)
+        for parent, payload in reports:
+            assert payload["child"] > parent
+            assert sizes[payload["child"]] == len(payload["kept"]) + 1
+            assert sizes[payload["child"]] < sizes[parent]
+        assert len(reports) == count_instances(5).total_instances - 1
 
     def test_sub_instance_output_is_mixed_term(self):
         vectors = random_vectors(4, 3, seed=8)
         run = run_protocol(vectors, seed=8)
-        top = run.engine.instances[0]
-        data = [p.vector for p in top.positions]
+        data = [ModVector(v, R64) for v in vectors]
         shares = sorted(
             (m.payload["position"], m.payload["mask"])
             for m in run.transcript
             if m.instance_id == 0 and m.kind is MessageKind.SHARE_DISTRIBUTION
         )
         masks = [ModVector(mask, R64) for _, mask in shares]
-        for child in run.engine.instances.values():
-            if child.parent_id == 0:
-                expected = mixed_term(child.kept, data, masks, R64)
-                assert child.result == expected
+        reports = [p for parent, p in _sub_results(run) if parent == 0]
+        for payload in reports:
+            expected = mixed_term(payload["kept"], data, masks, R64)
+            assert payload["value"] == expected
+        assert len(reports) == 2**4 - 4 - 2
 
     def test_singleton_children_are_two_party(self):
         run = run_protocol(random_vectors(3, 2, 5), seed=5)
-        children = [
-            i for i in run.engine.instances.values() if i.parent_id == 0
-        ]
+        children = [p["child"] for parent, p in _sub_results(run) if parent == 0]
         assert len(children) == 3
-        assert all(c.n == 2 for c in children)
+        sizes = _sizes(run)
+        assert all(sizes[c] == 2 for c in children)
         # each pairs one data party with the parent TTP holding the mask product
         for c in children:
-            owners = c.participants
-            assert owners[1] == run.ttp
-            assert owners[0] in run.data_parties
+            owners = dict(
+                (m.payload["position"], m.recipient)
+                for m in run.transcript
+                if m.instance_id == c and m.kind is MessageKind.SHARE_DISTRIBUTION
+            )
+            assert owners[2] == run.ttp
+            assert owners[1] in run.data_parties
 
 
 class TestValidation:
@@ -271,6 +303,63 @@ class TestDuplicateRejection:
             f"instance {msg.instance_id}: MaskedMatrixBroadcast at position 1: "
             "duplicate from position 2"
         )
+
+
+class PeakNetwork(Network):
+    """Records the most messages ever pending at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+
+    def send(self, *args, **kwargs):
+        msg = super().send(*args, **kwargs)
+        self.peak = max(self.peak, len(self._pending))
+        return msg
+
+
+class TestBoundedSchedule:
+    """Sub-instances start one sibling group at a time, the newest group
+    first, once the bus is idle; each leaves the engine once it reports."""
+
+    def test_pending_queue_stays_small(self, monkeypatch):
+        # starting every instance before the first delivery queues 18,112
+        # messages at n = 6; the bounded schedule queues 642
+        nets = []
+
+        def network():
+            nets.append(PeakNetwork())
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        vectors = random_vectors(6, 1, 6)
+        run = run_protocol(vectors, seed=6)
+        assert run.result == plaintext_oracle(vectors, R64)
+        assert run.message_count == count_instances(6).messages
+        assert 0 < nets[0].peak <= 1000
+
+    def test_only_the_top_instance_is_retained(self):
+        for n in (2, 3, 4, 5):
+            run = run_protocol(random_vectors(n, 2, n), seed=n)
+            assert list(run.engine.instances) == [0]
+            assert run.engine.instances[0].result == run.result
+
+    def test_duplicate_to_released_sub_instance(self, monkeypatch):
+        """Every child at n = 3 has two positions and no children, so its
+        closing chain value completes it: it reports and is released
+        before the copy arrives."""
+        nets = []
+
+        def network():
+            nets.append(DuplicatingNetwork(_sub(_chain_to(closing=True))))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(3, 2, 11), seed=11)
+        msg = nets[0].duplicated
+        assert msg.instance_id != 0
+        assert str(err.value) == f"{_named(msg)} no such instance"
 
 
 class DroppingNetwork(Network):
@@ -496,16 +585,32 @@ class TestMisrouteRejection:
         )
 
     @pytest.mark.parametrize(
-        "kept,shown",
-        [((1, 2, 3), "[1, 2, 3]"), ((4,), "[4]"), (4, "4"), ([[1]], "[[1]]")],
-        ids=["kept0", "kept1", "not-a-sequence", "unhashable"],
+        "kept,shown,n",
+        [
+            ((1, 2, 3), "[1, 2, 3]", N),
+            ((4,), "[4]", N),
+            (4, "4", N),
+            ([[1]], "[[1]]", N),
+            ([True, 2], "[True, 2]", 4),
+            ([1.0, 2.0], "[1.0, 2.0]", 4),
+        ],
+        ids=["kept0", "kept1", "not-a-sequence", "unhashable", "bool", "float"],
     )
-    def test_unexpected_sub_result(self, kept, shown, monkeypatch):
+    def test_unexpected_sub_result(self, kept, shown, n, monkeypatch):
         """A kept set that is not in the plan: the whole instance, a
-        position it does not have, or no sequence of positions at all."""
-        _, error = self._run(
-            monkeypatch, _of_kind(MessageKind.SUB_RESULT), "kept", lambda msg: kept
-        )
+        position it does not have, no sequence of positions at all, or
+        positions that equal planned ones but are not ints (True == 1 and
+        1.0 == 1). The report rewritten is that of the child keeping
+        positions 1..n-2, so at n = 4 the bool and float cases stand in
+        for a pending kept tuple they equal."""
+
+        def pick(msg):
+            return (
+                msg.kind is MessageKind.SUB_RESULT
+                and msg.payload["kept"] == tuple(range(1, n - 1))
+            )
+
+        _, error = self._run(monkeypatch, pick, "kept", lambda msg: kept, n=n)
         assert error == (
             f"instance 0: SubResult at position 1: unexpected for kept {shown}"
         )
@@ -635,9 +740,9 @@ class TestGoldenTranscripts:
             (2, 3, 1, Policy.SECURE,
              "3ac41f16bf5046f460467a3f68706e6a2a029ee668ca3501e9e059f31ee70be4"),
             (3, 2, 7, Policy.FLAWED,
-             "5dcb1995dad5226303485f726068d63c72d943a2873d5b9dd3b5a2cb24e9a421"),
+             "4f6cc0f2019893217b5cfdeb99fcea4d3ad5a3a3f025de59c99a096c67223410"),
             (4, 4, 3, Policy.SECURE,
-             "f3db5317cfcffc01b3b1a06057b2387c2e78096279fd78430c34791b36c74b5a"),
+             "c6bd2c48be7263729acdc03125e719c17add619f9a5cdc372166778cba3a801d"),
         ],
         # the digest stays out of the test id, so a re-pin keeps the name
         ids=["2-3-1-Policy.SECURE", "3-2-7-Policy.FLAWED", "4-4-3-Policy.SECURE"],

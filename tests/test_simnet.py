@@ -213,7 +213,18 @@ class TestViews:
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_sent_shares_are_the_bundles_generated(self, policy):
+        """The mask ids a party's view shows it sent as shares are those
+        the positions of the instances it generates for broadcast under."""
         run = run_protocol([(1, 2), (3, 4), (5, 6), (7, 8)], seed=3, policy=policy)
+        ttp_of = {}  # instance id -> sender of its shares
+        broadcast = {}  # (instance id, position) -> mask id in its broadcasts
+        for m in run.transcript:
+            if m.kind is MessageKind.SHARE_DISTRIBUTION:
+                ttp_of[m.instance_id] = m.sender
+            elif m.kind is MessageKind.MASKED_MATRIX:
+                key = (m.instance_id, m.payload["from_pos"])
+                broadcast[key] = m.meta["mask_id"]
+        visited = 0
         for party in (*run.data_parties, run.ttp):
             sent = [
                 m.meta["mask_id"]
@@ -221,9 +232,11 @@ class TestViews:
                 if m.kind is MessageKind.SHARE_DISTRIBUTION
             ]
             generated = [
-                pos.mask_id
-                for inst in run.engine.instances.values()
-                if inst.ttp == party
-                for pos in inst.positions
+                mask_id
+                for (instance_id, _), mask_id in broadcast.items()
+                if ttp_of[instance_id] == party
             ]
             assert sorted(sent) == sorted(generated)
+            visited += len(generated)
+        shares = sum(m.kind is MessageKind.SHARE_DISTRIBUTION for m in run.transcript)
+        assert visited == len(broadcast) == shares
