@@ -227,7 +227,7 @@ def forced_guess_inputs(view: View) -> dict:
     by_holder: dict[str, tuple] = {}
     for msg in sorted(view.sent_messages, key=attrgetter("seq")):
         if msg.kind is MessageKind.SHARE_DISTRIBUTION:
-            by_holder.setdefault(msg.meta["holder"], tuple(msg.payload["mask"]))
+            by_holder.setdefault(str(msg.recipient), tuple(msg.payload["mask"]))
     known = _known_mask_values(view)
 
     def stale(meta):

@@ -34,8 +34,8 @@ class PartyId(NamedTuple):
     def is_ttp(self) -> bool:
         return self.kind == "ttp"
 
-    # Every exported record names two parties and the transcript keeps one
-    # holder string per share distribution, so each id value has one string.
+    # Every exported record names its sender and recipient, and the attack
+    # keys masks by recipient string, so each id value has one string.
     @functools.cache
     def __str__(self) -> str:
         return f"p{self.index}" if self.kind == "data" else f"ttp:{self.label}"

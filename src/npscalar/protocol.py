@@ -49,6 +49,18 @@ sub-result, so only unfinished instances and unstarted groups are live,
 and a message for a released instance is rejected as one for no such
 instance.
 
+Every message follows one contract. Its payload names the position it
+goes to as `to_pos`, and a masked vector or chain value, whose sending
+position varies, names that position as `from_pos`; the sender of every
+other kind is fixed by the kind (the TTP, a child's position 1, or
+position 1). Every handler starts with one route check: `to_pos` is an
+int position of the instance, owned by the recipient, and the sender is
+the party the protocol expects. The chain is one ring: position j takes
+exactly one chain value, from the position before it (m before 1), and
+position 1's is the closing value. A repeated message is rejected as a
+duplicate, one that never came as missing, and a position or scalar that
+is not exactly an int (`True == 1` and `1.0 == 1`) by name.
+
 A position computes with the mask, share and mask id its share
 distribution carried. The TTP's bundles live only while `start` spawns
 the instance's children: each child's collapsed mask product, the TTP's
@@ -196,6 +208,8 @@ class _Position:
         # from_pos -> masked vector; None once the chain value is sent, as
         # every other masked vector has arrived by then
         self.masked: Optional[dict[int, ModVector]] = {}
+        # the chain value from the position before; position 1's is the
+        # closing value
         self.chain_prev: Optional[int] = None
         self.output_mask: Optional[int] = None
 
@@ -213,7 +227,6 @@ class ProtocolInstance:
         "depth",
         "pending_subs",
         "sub_results",
-        "chain_final",
         "result",
         "final_delivered",
     )
@@ -228,7 +241,6 @@ class ProtocolInstance:
         # kept -> coefficient, in plan order, for the children still to report
         self.pending_subs: dict[tuple[int, ...], int] = {}
         self.sub_results: list[tuple[int, int]] = []  # (coefficient, value)
-        self.chain_final: Optional[int] = None
         self.result: Optional[int] = None
         # positions that got the published result; only the top instance
         # publishes, so the others keep one shared empty set
@@ -243,25 +255,45 @@ class ProtocolInstance:
         return tuple(p.owner for p in self.positions)
 
 
-def _rejected(inst: ProtocolInstance, kind: MessageKind, position: int, problem: str):
+def _rejected(instance_id: int, kind: MessageKind, position, problem: str):
     """The error for a message the instance's state does not admit, or one
     it never got; it names the instance, the message kind and the
     receiving position."""
     return ProtocolStateError(
-        f"instance {inst.instance_id}: {kind.value} at position {position}: {problem}"
+        f"instance {instance_id}: {kind.value} at position {position}: {problem}"
     )
 
 
-def _out_of_range(inst: ProtocolInstance, msg, position: int):
-    return _rejected(inst, msg.kind, position, f"no such position (1..{inst.n})")
+def _receiver(inst: ProtocolInstance, msg) -> int:
+    """The position `msg` goes to, once its `to_pos` is exactly an int
+    position of the instance and the recipient owns that position."""
+    j = msg.payload["to_pos"]
+    if type(j) is not int or not 1 <= j <= len(inst.positions):
+        problem = f"no such position (1..{inst.n})"
+        raise _rejected(inst.instance_id, msg.kind, j, problem)
+    expected = inst.positions[j - 1].owner
+    if msg.recipient != expected:
+        problem = f"recipient {msg.recipient}, expected {expected}"
+        raise _rejected(inst.instance_id, msg.kind, j, problem)
+    return j
 
 
-def _check_party(inst, msg, position: int, role: str, party, expected) -> None:
-    """Reject a message whose `role` party (sender or recipient) is not the
-    party the instance expects at `position`."""
-    if party != expected:
-        problem = f"{role} {party}, expected {expected}"
-        raise _rejected(inst, msg.kind, position, problem)
+def _check_sender(inst: ProtocolInstance, msg, expected: PartyId) -> None:
+    """Reject a message that `_receiver` admitted but that a party other
+    than `expected` sent."""
+    if msg.sender != expected:
+        problem = f"sender {msg.sender}, expected {expected}"
+        raise _rejected(inst.instance_id, msg.kind, msg.payload["to_pos"], problem)
+
+
+def _integer(inst: ProtocolInstance, msg, field: str) -> int:
+    """The scalar payload `field` of an admitted message, once it is exactly
+    an int."""
+    x = msg.payload[field]
+    if type(x) is not int:
+        problem = f"{field} {x} is not an integer"
+        raise _rejected(inst.instance_id, msg.kind, msg.payload["to_pos"], problem)
+    return x
 
 
 class ProtocolEngine:
@@ -323,11 +355,11 @@ class ProtocolEngine:
                 inst.instance_id,
                 MessageKind.SHARE_DISTRIBUTION,
                 {
-                    "position": i,
+                    "to_pos": i,
                     "mask": bundle.mask.entries,
                     "share": bundle.share,
                 },
-                {"mask_id": bundle.mask_id, "holder": str(pos.owner)},
+                {"mask_id": bundle.mask_id},
             )
         children = [
             self.spawn_sub_instance(inst, bundles, *sub)
@@ -387,29 +419,24 @@ class ProtocolEngine:
         try:
             inst = self.instances[msg.instance_id]
         except KeyError:
-            key = "position" if msg.kind is MessageKind.SHARE_DISTRIBUTION else "to_pos"
-            raise ProtocolStateError(
-                f"instance {msg.instance_id}: {msg.kind.value} at position "
-                f"{msg.payload.get(key)}: no such instance"
+            raise _rejected(
+                msg.instance_id, msg.kind, msg.payload.get("to_pos"), "no such instance"
             ) from None
         self._HANDLERS[msg.kind](self, inst, msg)
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
-        i = msg.payload["position"]
-        if not 1 <= i <= len(inst.positions):
-            raise _out_of_range(inst, msg, i)
+        i = _receiver(inst, msg)
+        _check_sender(inst, msg, inst.ttp)
         pos = inst.positions[i - 1]
-        _check_party(inst, msg, i, "sender", msg.sender, inst.ttp)
-        _check_party(inst, msg, i, "recipient", msg.recipient, pos.owner)
         if pos.mask is not None:
-            raise _rejected(inst, msg.kind, i, "duplicate")
+            raise _rejected(inst.instance_id, msg.kind, i, "duplicate")
         mask = msg.payload["mask"]
         length = len(pos.vector.entries)
         if len(mask) != length:
             problem = f"{len(mask)} mask entries, expected {length}"
-            raise _rejected(inst, msg.kind, i, problem)
+            raise _rejected(inst.instance_id, msg.kind, i, problem)
+        pos.share = _integer(inst, msg, "share")
         pos.mask = ModVector._reduced(mask, self.ring)
-        pos.share = msg.payload["share"]
         pos.mask_id = msg.meta["mask_id"]
         self._send_masked(inst, i)
         self._maybe_chain(inst, i)
@@ -432,24 +459,21 @@ class ProtocolEngine:
                 )
 
     def _on_masked(self, inst: ProtocolInstance, msg) -> None:
+        j = _receiver(inst, msg)
         i = msg.payload["from_pos"]
-        j = msg.payload["to_pos"]
-        m = len(inst.positions)
-        if not 1 <= j <= m:
-            raise _out_of_range(inst, msg, j)
-        if i == j or not 1 <= i <= m:
+        if type(i) is not int or i == j or not 1 <= i <= len(inst.positions):
             problem = f"from position {i}, not another position"
-            raise _rejected(inst, msg.kind, j, problem)
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
+        _check_sender(inst, msg, inst.positions[i - 1].owner)
         pos = inst.positions[j - 1]
-        _check_party(inst, msg, j, "sender", msg.sender, inst.positions[i - 1].owner)
-        _check_party(inst, msg, j, "recipient", msg.recipient, pos.owner)
         if pos.masked is None or i in pos.masked:
-            raise _rejected(inst, msg.kind, j, f"duplicate from position {i}")
+            problem = f"duplicate from position {i}"
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
         values = msg.payload["values"]
         length = len(pos.vector.entries)
         if len(values) != length:
             problem = f"{len(values)} values from position {i}, expected {length}"
-            raise _rejected(inst, msg.kind, j, problem)
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
         pos.masked[i] = ModVector._reduced(values, self.ring)
         self._maybe_chain(inst, j)
 
@@ -493,40 +517,34 @@ class ProtocolEngine:
             inst.positions[nxt - 1].owner,
             inst.instance_id,
             MessageKind.CHAIN_VALUE,
-            {"index": i, "to_pos": nxt, "value": value},
+            {"from_pos": i, "to_pos": nxt, "value": value},
         )
 
     def _on_chain(self, inst: ProtocolInstance, msg) -> None:
-        to_pos = msg.payload["to_pos"]
-        index = msg.payload["index"]
-        m = len(inst.positions)
-        if not 1 <= to_pos <= m:
-            raise _out_of_range(inst, msg, to_pos)
-        pos = inst.positions[to_pos - 1]
-        _check_party(inst, msg, to_pos, "recipient", msg.recipient, pos.owner)
-        prev = inst.positions[to_pos - 2]  # position to_pos - 1; m before 1
-        _check_party(inst, msg, to_pos, "sender", msg.sender, prev.owner)
-        if to_pos == 1:
-            if inst.chain_final is not None:
-                raise _rejected(inst, msg.kind, 1, "duplicate closing value")
-            if index != m:
-                problem = f"closing index {index}, expected {m}"
-                raise _rejected(inst, msg.kind, 1, problem)
-            inst.chain_final = msg.payload["value"]
+        j = _receiver(inst, msg)
+        before = (j - 2) % len(inst.positions) + 1  # m before 1
+        _check_sender(inst, msg, inst.positions[before - 1].owner)
+        i = msg.payload["from_pos"]
+        if type(i) is not int or i != before:
+            problem = f"from position {i}, expected {before}"
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
+        pos = inst.positions[j - 1]
+        if pos.chain_prev is not None:
+            raise _rejected(inst.instance_id, msg.kind, j, "duplicate")
+        pos.chain_prev = _integer(inst, msg, "value")
+        if j == 1:
             self._maybe_finalize(inst)
         else:
-            if index != to_pos - 1 or pos.chain_prev is not None:
-                raise _rejected(inst, msg.kind, to_pos, f"out-of-order index {index}")
-            pos.chain_prev = msg.payload["value"]
-            self._maybe_chain(inst, to_pos)
+            self._maybe_chain(inst, j)
 
     # -- aggregation -------------------------------------------------------
 
     def _on_sub_result(self, inst: ProtocolInstance, msg) -> None:
         to_pos = msg.payload["to_pos"]
         if to_pos != 1:
-            raise _rejected(inst, msg.kind, to_pos, "sub-results go to position 1")
-        _check_party(inst, msg, 1, "recipient", msg.recipient, inst.positions[0].owner)
+            problem = "sub-results go to position 1"
+            raise _rejected(inst.instance_id, msg.kind, to_pos, problem)
+        _receiver(inst, msg)
         try:
             kept = tuple(msg.payload["kept"])
         except TypeError:  # not a sequence
@@ -535,37 +553,34 @@ class ProtocolEngine:
         # would match a planned kept tuple
         if kept is None or not {*map(type, kept)} <= {int}:
             problem = f"unexpected for kept {msg.payload['kept']}"
-            raise _rejected(inst, msg.kind, 1, problem)
+            raise _rejected(inst.instance_id, msg.kind, 1, problem)
         coefficient = inst.pending_subs.pop(kept, None)
         if coefficient is None:
             # every child registers while its parent starts, so a planned
             # kept tuple that is no longer pending has already reported
             planned = any(k == kept for k, _, _ in enumerate_sub_instances(inst.n))
             problem = "duplicate" if planned else "unexpected"
-            raise _rejected(inst, msg.kind, 1, f"{problem} for kept {list(kept)}")
+            problem = f"{problem} for kept {list(kept)}"
+            raise _rejected(inst.instance_id, msg.kind, 1, problem)
         first = inst.positions[kept[0] - 1]  # the child's position 1
-        _check_party(inst, msg, 1, "sender", msg.sender, first.owner)
-        inst.sub_results.append((coefficient, msg.payload["value"]))
+        _check_sender(inst, msg, first.owner)
+        inst.sub_results.append((coefficient, _integer(inst, msg, "value")))
         self._maybe_finalize(inst)
 
     def _maybe_finalize(self, inst: ProtocolInstance) -> None:
-        if inst.chain_final is None or inst.pending_subs:
+        first = inst.positions[0]
+        if first.chain_prev is None or inst.pending_subs:
             return
-        output_mask = inst.positions[0].output_mask
         inst.result = aggregate_final(
-            inst.chain_final, inst.sub_results, output_mask, self.ring
+            first.chain_prev, inst.sub_results, first.output_mask, self.ring
         )
         self._publish(inst)
 
     def _on_final(self, inst: ProtocolInstance, msg) -> None:
-        j = msg.payload["to_pos"]
-        if not 1 <= j <= len(inst.positions):
-            raise _out_of_range(inst, msg, j)
-        owner = inst.positions[j - 1].owner
-        _check_party(inst, msg, j, "recipient", msg.recipient, owner)
-        _check_party(inst, msg, j, "sender", msg.sender, inst.positions[0].owner)
+        j = _receiver(inst, msg)
+        _check_sender(inst, msg, inst.positions[0].owner)
         if j in inst.final_delivered:
-            raise _rejected(inst, msg.kind, j, "duplicate")
+            raise _rejected(inst.instance_id, msg.kind, j, "duplicate")
         inst.final_delivered |= {j}
 
     # kind -> handler, for `dispatch`
@@ -615,7 +630,6 @@ class RunResult:
 
     result: int
     ring: Ring
-    seed: int
     policy: Policy
     data_parties: tuple[PartyId, ...]
     ttp: PartyId
@@ -644,24 +658,24 @@ class RunResult:
 def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
     """The error for an instance that ended without a result. It names the
     earliest piece that never arrived, in this order: a share distribution,
-    a masked vector, a chain value, the closing chain value, a sub-result."""
+    a masked vector, a chain value in ring order (positions 2..m, then the
+    closing value at 1), a sub-result."""
+    iid = inst.instance_id
     for i, pos in enumerate(inst.positions, start=1):
         if pos.mask is None:
-            return _rejected(inst, MessageKind.SHARE_DISTRIBUTION, i, "missing")
+            return _rejected(iid, MessageKind.SHARE_DISTRIBUTION, i, "missing")
     for j, pos in enumerate(inst.positions, start=1):
         if pos.masked is None:  # stepped, so it held every masked vector
             continue
         for i in range(1, inst.n + 1):
             if i != j and i not in pos.masked:
                 problem = f"missing from position {i}"
-                return _rejected(inst, MessageKind.MASKED_MATRIX, j, problem)
-    for j, pos in enumerate(inst.positions[1:], start=2):
-        if pos.chain_prev is None:
-            return _rejected(inst, MessageKind.CHAIN_VALUE, j, "missing")
-    if inst.chain_final is None:
-        return _rejected(inst, MessageKind.CHAIN_VALUE, 1, "missing closing value")
+                return _rejected(iid, MessageKind.MASKED_MATRIX, j, problem)
+    for j in (*range(2, inst.n + 1), 1):
+        if inst.positions[j - 1].chain_prev is None:
+            return _rejected(iid, MessageKind.CHAIN_VALUE, j, "missing")
     kept = list(next(iter(inst.pending_subs)))
-    return _rejected(inst, MessageKind.SUB_RESULT, 1, f"missing for kept {kept}")
+    return _rejected(iid, MessageKind.SUB_RESULT, 1, f"missing for kept {kept}")
 
 
 def run_protocol(
@@ -725,11 +739,10 @@ def run_protocol(
             raise _stalled(inst)
     for j in range(1, top.n + 1):
         if j not in top.final_delivered:
-            raise _rejected(top, MessageKind.FINAL_RESULT, j, "missing")
+            raise _rejected(top.instance_id, MessageKind.FINAL_RESULT, j, "missing")
     return RunResult(
         result=top.result,
         ring=ring,
-        seed=seed,
         policy=policy,
         data_parties=data_parties,
         ttp=ttp,

@@ -146,7 +146,7 @@ class TestCompletionAndStructure:
         run = run_protocol(vectors, seed=8)
         data = [ModVector(v, R64) for v in vectors]
         shares = sorted(
-            (m.payload["position"], m.payload["mask"])
+            (m.payload["to_pos"], m.payload["mask"])
             for m in run.transcript
             if m.instance_id == 0 and m.kind is MessageKind.SHARE_DISTRIBUTION
         )
@@ -166,7 +166,7 @@ class TestCompletionAndStructure:
         # each pairs one data party with the parent TTP holding the mask product
         for c in children:
             owners = dict(
-                (m.payload["position"], m.recipient)
+                (m.payload["to_pos"], m.recipient)
                 for m in run.transcript
                 if m.instance_id == c and m.kind is MessageKind.SHARE_DISTRIBUTION
             )
@@ -230,7 +230,7 @@ def _sub(pick):
 
 def _named(msg):
     """How an error names `msg`: its instance, kind and receiving position."""
-    position = msg.payload.get("to_pos", msg.payload.get("position"))
+    position = msg.payload["to_pos"]
     return f"instance {msg.instance_id}: {msg.kind.value} at position {position}:"
 
 
@@ -243,8 +243,8 @@ class TestDuplicateRejection:
                 _of_kind(MessageKind.MASKED_MATRIX),
                 lambda p: f"duplicate from position {p['from_pos']}",
             ),
-            (_chain_to(closing=False), lambda p: f"out-of-order index {p['index']}"),
-            (_chain_to(closing=True), lambda p: "duplicate closing value"),
+            (_chain_to(closing=False), lambda p: "duplicate"),
+            (_chain_to(closing=True), lambda p: "duplicate"),
             (
                 _of_kind(MessageKind.SUB_RESULT),
                 lambda p: f"duplicate for kept {list(p['kept'])}",
@@ -296,13 +296,40 @@ class TestDuplicateRejection:
             m for m in nets[0]._pending
             if m.kind is MessageKind.CHAIN_VALUE
             and m.instance_id == msg.instance_id
-            and m.payload["index"] == 1
+            and m.payload["from_pos"] == 1
         ]
         assert len(stepped) == 1
         assert str(err.value) == (
             f"instance {msg.instance_id}: MaskedMatrixBroadcast at position 1: "
             "duplicate from position 2"
         )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_duplicate_raises_and_names_it(self, seed, monkeypatch):
+        """Any one message delivered twice is rejected by name: as a
+        duplicate, or as for no such instance once the original completed
+        a sub-instance, which then reported and was released."""
+        n = 3 + seed % 3
+        order = random.Random(seed)
+        duplicate_at = order.randrange(count_instances(n).messages)
+        heads = itertools.count()
+        nets = []
+
+        def network():
+            nets.append(DuplicatingNetwork(lambda msg: next(heads) == duplicate_at))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(
+                random_vectors(n, 2, seed), seed=seed, policy=list(Policy)[seed % 2]
+            )
+        msg = nets[0].duplicated
+        assert msg is not None
+        named = _named(msg)
+        assert str(err.value).startswith(f"{named} ")
+        problem = str(err.value)[len(named) + 1:]
+        assert problem.startswith("duplicate") or problem == "no such instance"
 
 
 class PeakNetwork(Network):
@@ -403,7 +430,7 @@ class TestDropRejection:
                 lambda p: f"missing from position {p['from_pos']}",
             ),
             (_sub(_chain_to(closing=False)), lambda p: "missing"),
-            (_sub(_chain_to(closing=True)), lambda p: "missing closing value"),
+            (_sub(_chain_to(closing=True)), lambda p: "missing"),
             (
                 _sub(_of_kind(MessageKind.SUB_RESULT)),
                 lambda p: f"missing for kept {list(p['kept'])}",
@@ -540,7 +567,7 @@ class MisroutingNetwork(Network):
 
 
 MISROUTES = {
-    "ShareDistribution": (_of_kind(MessageKind.SHARE_DISTRIBUTION), "position"),
+    "ShareDistribution": (_of_kind(MessageKind.SHARE_DISTRIBUTION), "to_pos"),
     "MaskedMatrixBroadcast-to": (_of_kind(MessageKind.MASKED_MATRIX), "to_pos"),
     "ChainValue-step": (_chain_to(closing=False), "to_pos"),
     "ChainValue-closing": (_chain_to(closing=True), "to_pos"),
@@ -644,6 +671,124 @@ class TestMisrouteRejection:
             f"from position {msg.payload['from_pos']}, not another position"
         )
 
+    @pytest.mark.parametrize(
+        "closing,bad,expected",
+        [
+            (False, 2, "at position 2: from position 2, expected 1"),
+            (False, 0, "at position 2: from position 0, expected 1"),
+            (True, 1, "at position 1: from position 1, expected 3"),
+            (True, 2, "at position 1: from position 2, expected 3"),
+        ],
+        ids=["step-self", "step-0", "closing-self", "closing-2"],
+    )
+    def test_chain_value_from_wrong_position(self, closing, bad, expected, monkeypatch):
+        """Position j takes its chain value from position j - 1 only, and
+        position 1 its closing value from position m."""
+        _, error = self._run(
+            monkeypatch, _chain_to(closing), "from_pos", lambda msg: bad
+        )
+        assert error == f"instance 0: ChainValue {expected}"
+
+    @pytest.mark.parametrize(
+        "pick,field,value,expected",
+        [
+            (
+                _of_kind(MessageKind.SHARE_DISTRIBUTION),
+                "share",
+                lambda msg: msg.payload["share"] + 0.5,
+                "ShareDistribution at position 1: share {share} is not an integer",
+            ),
+            (
+                _of_kind(MessageKind.SHARE_DISTRIBUTION),
+                "to_pos",
+                lambda msg: "x",
+                "ShareDistribution at position x: no such position (1..3)",
+            ),
+            (
+                _of_kind(MessageKind.SHARE_DISTRIBUTION),
+                "to_pos",
+                lambda msg: 1.0,
+                "ShareDistribution at position 1.0: no such position (1..3)",
+            ),
+            (
+                _of_kind(MessageKind.SHARE_DISTRIBUTION),
+                "to_pos",
+                lambda msg: True,
+                "ShareDistribution at position True: no such position (1..3)",
+            ),
+            (
+                _of_kind(MessageKind.MASKED_MATRIX),
+                "to_pos",
+                lambda msg: 2.0,
+                "MaskedMatrixBroadcast at position 2.0: no such position (1..3)",
+            ),
+            (
+                _of_kind(MessageKind.MASKED_MATRIX),
+                "from_pos",
+                lambda msg: 1.0,
+                "MaskedMatrixBroadcast at position 2: "
+                "from position 1.0, not another position",
+            ),
+            (
+                _chain_to(closing=False),
+                "from_pos",
+                lambda msg: 1.0,
+                "ChainValue at position 2: from position 1.0, expected 1",
+            ),
+            (
+                _chain_to(closing=False),
+                "from_pos",
+                lambda msg: True,
+                "ChainValue at position 2: from position True, expected 1",
+            ),
+            (
+                _chain_to(closing=False),
+                "value",
+                lambda msg: msg.payload["value"] + 0.5,
+                "ChainValue at position 2: value {value} is not an integer",
+            ),
+            (
+                _chain_to(closing=True),
+                "value",
+                lambda msg: msg.payload["value"] + 0.5,
+                "ChainValue at position 1: value {value} is not an integer",
+            ),
+            (
+                _of_kind(MessageKind.SUB_RESULT),
+                "value",
+                lambda msg: msg.payload["value"] + 0.5,
+                "SubResult at position 1: value {value} is not an integer",
+            ),
+            (
+                _of_kind(MessageKind.FINAL_RESULT),
+                "to_pos",
+                lambda msg: True,
+                "FinalResult at position True: no such position (1..3)",
+            ),
+        ],
+        ids=[
+            "ShareDistribution-share-float",
+            "ShareDistribution-to-str",
+            "ShareDistribution-to-float",
+            "ShareDistribution-to-bool",
+            "MaskedMatrixBroadcast-to-float",
+            "MaskedMatrixBroadcast-from-float",
+            "ChainValue-from-float",
+            "ChainValue-from-bool",
+            "ChainValue-step-value-float",
+            "ChainValue-closing-value-float",
+            "SubResult-value-float",
+            "FinalResult-to-bool",
+        ],
+    )
+    def test_not_an_int(self, pick, field, value, expected, monkeypatch):
+        """A position or scalar that equals an int but is not one (1.0,
+        True), or is no number at all, is rejected by name: it is never
+        used as an index or folded into the result."""
+        msg, error = self._run(monkeypatch, pick, field, value)
+        assert type(msg.payload[field]) is not int
+        assert error == f"instance 0: {expected.format(**msg.payload)}"
+
     @pytest.mark.parametrize("case", list(MISROUTES))
     def test_wrong_recipient(self, case, monkeypatch):
         pick, field = MISROUTES[case]
@@ -710,7 +855,7 @@ class TestTamperedShare:
         def pick(msg):
             return (
                 msg.kind is MessageKind.SHARE_DISTRIBUTION
-                and msg.payload["position"] == position
+                and msg.payload["to_pos"] == position
             )
 
         def tampered(msg):
@@ -738,11 +883,11 @@ class TestGoldenTranscripts:
         "n,length,seed,policy,digest",
         [
             (2, 3, 1, Policy.SECURE,
-             "3ac41f16bf5046f460467a3f68706e6a2a029ee668ca3501e9e059f31ee70be4"),
+             "67163f8e652fb9aec1d2497d484d920e7220a34233c5df4f2bf35c20c6f4aeb2"),
             (3, 2, 7, Policy.FLAWED,
-             "4f6cc0f2019893217b5cfdeb99fcea4d3ad5a3a3f025de59c99a096c67223410"),
+             "4146bdb6b4a169d95272320692be410e113e1d233ee1deaa297c1ce50b702097"),
             (4, 4, 3, Policy.SECURE,
-             "c6bd2c48be7263729acdc03125e719c17add619f9a5cdc372166778cba3a801d"),
+             "67e0dd0233a46e57146daa4a869fae9c11c9c8077dc5cad7a234b19b45208b2c"),
         ],
         # the digest stays out of the test id, so a re-pin keeps the name
         ids=["2-3-1-Policy.SECURE", "3-2-7-Policy.FLAWED", "4-4-3-Policy.SECURE"],
