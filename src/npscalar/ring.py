@@ -8,6 +8,15 @@ products. So everything here is a fixed-length vector over Z_modulus.
 The default modulus is 2**64 (native wrap-around). A small prime modulus
 is supported so statistical tests can exercise the full ring.
 
+Reduction rule. Each `Ring` picks its reduction once, as a pair
+`(op, k)` with `op(x, k) == x % modulus` for every Python int x. For a
+power-of-two modulus it is `(operator.and_, modulus - 1)`; otherwise it is
+`(operator.mod, modulus)`. The mask is exact because a Python int behaves
+as an infinite two's-complement bit string: `x & (2**b - 1)` keeps the low
+b bits, which is the unique residue in [0, 2**b), negative x included.
+Masking touches only the low digits of x, where `%` by 2**64 runs long
+division, and both ops are C functions that `map` calls directly.
+
 A `ModVector`'s entries are always a non-empty tuple of Python ints in
 [0, modulus). The public constructor establishes that by reducing every
 entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
@@ -20,9 +29,9 @@ between vectors and message payloads.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import InputShapeError
@@ -35,10 +44,14 @@ class Ring:
     """The ring Z_modulus all protocol arithmetic lives in."""
 
     modulus: int = DEFAULT_MODULUS
+    _reduction: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.modulus < 2:
+        m = self.modulus
+        if m < 2:
             raise ValueError("modulus must be at least 2")
+        pair = (operator.and_, m - 1) if m & (m - 1) == 0 else (operator.mod, m)
+        object.__setattr__(self, "_reduction", pair)
 
     def reduce(self, x: int) -> int:
         return x % self.modulus
@@ -50,8 +63,8 @@ class ModVector:
     __slots__ = ("entries", "ring")
 
     def __init__(self, entries: Iterable[int], ring: Ring):
-        m = ring.modulus
-        self.entries = tuple(operator.index(e) % m for e in entries)
+        op, k = ring._reduction
+        self.entries = tuple(map(op, map(operator.index, entries), repeat(k)))
         self.ring = ring
         if not self.entries:
             raise InputShapeError("vectors must have length >= 1")
@@ -94,18 +107,18 @@ class ModVector:
 
     def add(self, other: "ModVector") -> "ModVector":
         self._check(other)
-        reduce = self.ring.modulus.__rmod__
+        op, k = self.ring._reduction
         return ModVector._reduced(
-            tuple(map(reduce, map(operator.add, self.entries, other.entries))),
+            tuple(map(op, map(operator.add, self.entries, other.entries), repeat(k))),
             self.ring,
         )
 
     def hadamard(self, other: "ModVector") -> "ModVector":
         """Entrywise product (the product of two diagonal matrices)."""
         self._check(other)
-        reduce = self.ring.modulus.__rmod__
+        op, k = self.ring._reduction
         return ModVector._reduced(
-            tuple(map(reduce, map(operator.mul, self.entries, other.entries))),
+            tuple(map(op, map(operator.mul, self.entries, other.entries), repeat(k))),
             self.ring,
         )
 
@@ -114,13 +127,17 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
     """Trace of the product of the diagonal matrices encoded by `vectors`.
 
     Equals the n-way inner product sum_j prod_i vectors[i][j] mod modulus.
-    The sum is taken over exact integers and reduced once at the end.
+    Each entry's product is a left fold of C-level `map`s, so no per-entry
+    tuple is built; the sum is taken over exact integers and reduced once
+    at the end.
     """
     if not vectors:
         raise InputShapeError("product_trace needs at least one vector")
-    length = len(vectors[0].entries)
+    products = vectors[0].entries
+    length = len(products)
     for v in vectors[1:]:
         if len(v.entries) != length:
             raise InputShapeError("length mismatch in product_trace")
-    return sum(map(math.prod, zip(*(v.entries for v in vectors)))) % ring.modulus
+        products = map(operator.mul, products, v.entries)
+    return sum(products) % ring.modulus
 

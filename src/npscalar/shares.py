@@ -43,7 +43,8 @@ class Rng:
         if ring.modulus == DEFAULT_MODULUS:
             raw = self._r.getrandbits(64 * length).to_bytes(8 * length, "little")
             return ModVector._reduced(struct.unpack(f"<{length}Q", raw), ring)
-        return ModVector((self._r.randrange(ring.modulus) for _ in range(length)), ring)
+        draws = map(self._r.randrange, itertools.repeat(ring.modulus, length))
+        return ModVector._reduced(tuple(draws), ring)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import npscalar
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_every_export_resolves():
@@ -14,3 +20,17 @@ def test_star_import():
     namespace = {}
     exec("from npscalar import *", namespace)
     assert set(npscalar.__all__) <= namespace.keys()
+
+
+def test_import_leaves_numpy_and_scipy_out():
+    """Importing the package pulls in neither numpy nor scipy (scipy is
+    imported lazily by `uniformity_pvalue`): either would add its import
+    time to every process that only runs the protocol."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import sys, npscalar; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

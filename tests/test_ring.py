@@ -1,4 +1,5 @@
 import operator
+import random
 from functools import reduce
 
 import pytest
@@ -76,7 +77,14 @@ class TestRingProperties:
         assert product_trace([a, b, c], R64) == product_trace([b, a, c], R64)
 
 
-MODULI = (2, 7, (1 << 61) - 1, 1 << 64)
+# Powers of two reduce by masking, the others by `%`; (1 << 64) + 1 is just
+# above 2^64, where reducing a product needs long division.
+MODULI = (2, 7, 1 << 16, (1 << 61) - 1, 1 << 64, (1 << 64) + 1)
+
+
+def reference_trace(rows, m):
+    """sum_j prod_i rows[i][j] mod m, reducing after every product."""
+    return sum(reduce(lambda p, x: p * x % m, column, 1) for column in zip(*rows)) % m
 
 
 @st.composite
@@ -103,16 +111,57 @@ class TestKernelsMatchPerEntryReference:
         ring, (a, b) = case
         got = getattr(ModVector(a, ring), method)(ModVector(b, ring))
         assert got.entries == tuple(op(x, y) % ring.modulus for x, y in zip(a, b))
+        assert all(type(e) is int for e in got.entries)
         assert got.ring == ring
 
     @given(case=vector_sets())
     def test_product_trace(self, case):
         ring, rows = case
+        got = product_trace([ModVector(r, ring) for r in rows], ring)
+        assert got == reference_trace(rows, ring.modulus)
+        assert type(got) is int
+
+    @given(
+        modulus=st.sampled_from(MODULI),
+        xs=st.lists(st.integers(min_value=-(1 << 130), max_value=1 << 130), min_size=1),
+    )
+    def test_constructor_reduces_any_int(self, modulus, xs):
+        got = ModVector(xs, Ring(modulus)).entries
+        assert got == tuple(x % modulus for x in xs)
+        assert all(type(e) is int for e in got)
+
+
+class TestLongVectors:
+    """One L=2048 case per kernel, with a masked and a divided modulus."""
+
+    @pytest.fixture(params=[1 << 64, (1 << 61) - 1], ids=["2^64", "2^61-1"])
+    def case(self, request):
+        ring = Ring(request.param)
+        rnd = random.Random(request.param)
+        # entries of every size up to 2^66, negatives included, so the
+        # constructor's reduction is exercised too
+        rows = [[rnd.randrange(-(1 << 66), 1 << 66) for _ in range(2048)] for _ in range(4)]
+        return ring, rows
+
+    @pytest.mark.parametrize("method,op", [("add", operator.add), ("hadamard", operator.mul)])
+    def test_binary_ops(self, case, method, op):
+        ring, (a, b, *_) = case
         m = ring.modulus
-        expected = sum(
-            reduce(lambda p, x: p * x % m, column, 1) for column in zip(*rows)
-        ) % m
-        assert product_trace([ModVector(r, ring) for r in rows], ring) == expected
+        got = getattr(ModVector(a, ring), method)(ModVector(b, ring)).entries
+        assert got == tuple(op(x, y) % m for x, y in zip(a, b))
+        assert all(type(e) is int for e in got)
+
+    def test_constructor(self, case):
+        ring, (a, *_) = case
+        got = ModVector(a, ring).entries
+        assert got == tuple(x % ring.modulus for x in a)
+        assert all(type(e) is int for e in got)
+
+    def test_product_trace(self, case):
+        ring, rows = case
+        got = product_trace([ModVector(r, ring) for r in rows], ring)
+        assert got == reference_trace(rows, ring.modulus)
+        assert type(got) is int
 
 
 def test_product_trace_rejects_empty_input():
@@ -127,6 +176,13 @@ def test_constructor_rejects_non_integers():
 
 def test_entries_reduced_on_construction():
     assert ModVector([9, 15], R7).entries == (2, 1)
+
+
+def test_booleans_reduce_to_exact_ints():
+    for m in (2, 7, 1 << 16):
+        entries = ModVector([True, False], Ring(m)).entries
+        assert entries == (1, 0)
+        assert all(type(e) is int for e in entries)
 
 
 def test_modulus_lower_bound():
