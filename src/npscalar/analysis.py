@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -27,6 +26,7 @@ from typing import Sequence
 from .errors import InputShapeError, InstanceShapeError
 from .parties import PartyId
 from .ring import ModVector, Ring, product_trace
+from .shares import Rng
 from .simnet import MessageKind, Transcript, View
 
 # ---------------------------------------------------------------------------
@@ -362,9 +362,10 @@ def count_instances(n: int) -> InstanceCensus:
 
 
 def masked_samples(value: int, count: int, modulus: int, seed: int) -> list[int]:
-    """`count` maskings of one fixed value under fresh uniform masks."""
-    r = random.Random(seed)
-    return [(value + r.randrange(modulus)) % modulus for _ in range(count)]
+    """`count` maskings of one fixed value under fresh masks drawn by the
+    engine's draw rule."""
+    rng, ring = Rng(seed), Ring(modulus)
+    return [(value + rng.element(ring)) % modulus for _ in range(count)]
 
 
 def uniformity_pvalue(samples: Sequence[int], modulus: int) -> float:

@@ -55,9 +55,12 @@ position varies, names that position as `from_pos`; the sender of every
 other kind is fixed by the kind (the TTP, a child's position 1, or
 position 1). Every handler starts with one route check: `to_pos` is an
 int position of the instance, owned by the recipient, and the sender is
-the party the protocol expects. The chain is one ring: position j takes
-exactly one chain value, from the position before it (m before 1), and
-position 1's is the closing value. A repeated message is rejected as a
+the party the protocol expects. A sub-result names its child by instance
+id only: a parent's children have consecutive ids in plan order, so the
+id gives the child's kept positions and coefficient. The chain is one
+ring: position j takes exactly one chain value, from the position before
+it (m before 1), and position 1's is the closing value. A final result
+carries the published one. A repeated message is rejected as a
 duplicate, one that never came as missing, and a position or scalar that
 is not exactly an int (`True == 1` and `1.0 == 1`) by name.
 
@@ -214,37 +217,41 @@ class _Position:
         self.output_mask: Optional[int] = None
 
 
-_NO_POSITIONS: frozenset = frozenset()
+# the empty collections shared by every instance that spawns no children
+# or publishes no result; never mutated
+_EMPTY: frozenset = frozenset()
+_NO_CHILDREN = range(0)
 
 
 class ProtocolInstance:
     __slots__ = (
         "instance_id",
         "parent_id",
-        "kept",
         "positions",
         "ttp",
         "depth",
+        "children",
         "pending_subs",
         "sub_results",
         "result",
         "final_delivered",
     )
 
-    def __init__(self, instance_id, positions, ttp, parent_id=None, kept=(), depth=0):
+    def __init__(self, instance_id, positions, ttp, parent_id=None, depth=0):
         self.instance_id = instance_id
         self.positions: list[_Position] = positions
         self.ttp = ttp
         self.parent_id = parent_id
-        self.kept: tuple[int, ...] = kept  # parent positions in order; () at the top
         self.depth = depth
-        # kept -> coefficient, in plan order, for the children still to report
-        self.pending_subs: dict[tuple[int, ...], int] = {}
+        # the children's instance ids, consecutive and in plan order, and
+        # those still to report; `start` sets both for a parent
+        self.children: range = _NO_CHILDREN
+        self.pending_subs: set[int] | frozenset[int] = _EMPTY
         self.sub_results: list[tuple[int, int]] = []  # (coefficient, value)
         self.result: Optional[int] = None
         # positions that got the published result; only the top instance
         # publishes, so the others keep one shared empty set
-        self.final_delivered: frozenset[int] = _NO_POSITIONS
+        self.final_delivered: frozenset[int] = _EMPTY
 
     @property
     def n(self) -> int:
@@ -320,8 +327,8 @@ class ProtocolEngine:
 
     # -- construction ------------------------------------------------------
 
-    def new_instance(self, positions, ttp, parent_id=None, kept=(), depth=0):
-        inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, kept, depth)
+    def new_instance(self, positions, ttp, parent_id=None, depth=0):
+        inst = ProtocolInstance(next(self._ids), positions, ttp, parent_id, depth)
         self.instances[inst.instance_id] = inst
         if depth < len(self.per_depth):
             self.per_depth[depth] += 1
@@ -362,10 +369,13 @@ class ProtocolEngine:
                 {"mask_id": bundle.mask_id},
             )
         children = [
-            self.spawn_sub_instance(inst, bundles, *sub)
-            for sub in enumerate_sub_instances(m)
+            self.spawn_sub_instance(inst, bundles, kept, dropped)
+            for kept, dropped, _ in enumerate_sub_instances(m)
         ]
         if children:
+            first = children[0].instance_id
+            inst.children = range(first, first + len(children))
+            inst.pending_subs = set(inst.children)
             self.unstarted.append(children)
 
     def spawn_sub_instance(
@@ -374,7 +384,6 @@ class ProtocolEngine:
         bundles: Sequence[ShareBundle],
         kept: tuple[int, ...],
         dropped: tuple[int, ...],
-        coefficient: int,
     ) -> ProtocolInstance:
         """Build the child instance for one entry of the parent's
         sub-instance plan; `bundles` are the ones the parent's TTP
@@ -403,15 +412,9 @@ class ProtocolEngine:
         if ttp is None:
             ttp = assign_ttp(owners, self.policy, parent.ttp, self.pool)
             self._ttps[key] = ttp
-        child = self.new_instance(
-            positions,
-            ttp,
-            parent_id=parent.instance_id,
-            kept=kept,
-            depth=parent.depth + 1,
+        return self.new_instance(
+            positions, ttp, parent_id=parent.instance_id, depth=parent.depth + 1
         )
-        parent.pending_subs[kept] = coefficient
-        return child
 
     # -- dispatch ----------------------------------------------------------
 
@@ -545,25 +548,19 @@ class ProtocolEngine:
             problem = "sub-results go to position 1"
             raise _rejected(inst.instance_id, msg.kind, to_pos, problem)
         _receiver(inst, msg)
-        try:
-            kept = tuple(msg.payload["kept"])
-        except TypeError:  # not a sequence
-            kept = None
-        # positions are exactly ints: True == 1 and 1.0 == 1, so either
-        # would match a planned kept tuple
-        if kept is None or not {*map(type, kept)} <= {int}:
-            problem = f"unexpected for kept {msg.payload['kept']}"
+        child = _integer(inst, msg, "child")
+        if child not in inst.pending_subs:
+            # every child is pending from its parent's start until it reports
+            if child in inst.children:
+                problem = f"duplicate from child {child}"
+            else:
+                problem = f"unexpected child {child}"
             raise _rejected(inst.instance_id, msg.kind, 1, problem)
-        coefficient = inst.pending_subs.pop(kept, None)
-        if coefficient is None:
-            # every child registers while its parent starts, so a planned
-            # kept tuple that is no longer pending has already reported
-            planned = any(k == kept for k, _, _ in enumerate_sub_instances(inst.n))
-            problem = "duplicate" if planned else "unexpected"
-            problem = f"{problem} for kept {list(kept)}"
-            raise _rejected(inst.instance_id, msg.kind, 1, problem)
-        first = inst.positions[kept[0] - 1]  # the child's position 1
-        _check_sender(inst, msg, first.owner)
+        plan = enumerate_sub_instances(len(inst.positions))
+        kept, _, coefficient = plan[child - inst.children.start]
+        # the child's position 1 is the first position it keeps
+        _check_sender(inst, msg, inst.positions[kept[0] - 1].owner)
+        inst.pending_subs.remove(child)
         inst.sub_results.append((coefficient, _integer(inst, msg, "value")))
         self._maybe_finalize(inst)
 
@@ -581,6 +578,10 @@ class ProtocolEngine:
         _check_sender(inst, msg, inst.positions[0].owner)
         if j in inst.final_delivered:
             raise _rejected(inst.instance_id, msg.kind, j, "duplicate")
+        value = _integer(inst, msg, "value")
+        if value != inst.result:
+            problem = f"value {value}, expected {inst.result}"
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
         inst.final_delivered |= {j}
 
     # kind -> handler, for `dispatch`
@@ -611,12 +612,7 @@ class ProtocolEngine:
                 parent.positions[0].owner,
                 parent.instance_id,
                 MessageKind.SUB_RESULT,
-                {
-                    "to_pos": 1,
-                    "child": inst.instance_id,
-                    "kept": inst.kept,
-                    "value": inst.result,
-                },
+                {"to_pos": 1, "child": inst.instance_id, "value": inst.result},
             )
 
 
@@ -674,8 +670,8 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
     for j in (*range(2, inst.n + 1), 1):
         if inst.positions[j - 1].chain_prev is None:
             return _rejected(iid, MessageKind.CHAIN_VALUE, j, "missing")
-    kept = list(next(iter(inst.pending_subs)))
-    return _rejected(iid, MessageKind.SUB_RESULT, 1, f"missing for kept {kept}")
+    problem = f"missing from child {min(inst.pending_subs)}"
+    return _rejected(iid, MessageKind.SUB_RESULT, 1, problem)
 
 
 def run_protocol(

@@ -80,21 +80,8 @@ class ModVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModVector)
-            and self.entries == other.entries
-            and self.ring == other.ring
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.ring.modulus))
 
     def __repr__(self) -> str:
         return f"ModVector({list(self.entries)}, mod={self.ring.modulus})"

@@ -7,6 +7,7 @@ from npscalar import (
     MessageKind,
     PartyId,
     Policy,
+    Ring,
     Transcript,
     View,
     count_instances,
@@ -14,6 +15,7 @@ from npscalar import (
     knowledge_closure,
     reconstruct_inputs,
     run_protocol,
+    scan_mask_freshness,
     scan_mask_safety,
     scan_ttp_rotation,
 )
@@ -22,15 +24,27 @@ TTP = PartyId.ttp("ttp")
 HOLDER, OTHER = PartyId.data(1), PartyId.data(2)
 
 
-def _share(seq, recipient):
+def _share(seq, recipient, mask_id=0, mask=()):
     return Message(
-        seq, TTP, recipient, 0, MessageKind.SHARE_DISTRIBUTION, {}, {"mask_id": 0}
+        seq,
+        TTP,
+        recipient,
+        0,
+        MessageKind.SHARE_DISTRIBUTION,
+        {"mask": mask},
+        {"mask_id": mask_id},
     )
 
 
-def _masked(seq, recipient):
+def _masked(seq, recipient, mask_id=0, subject=None, values=()):
     return Message(
-        seq, HOLDER, recipient, 0, MessageKind.MASKED_MATRIX, {}, {"mask_id": 0}
+        seq,
+        HOLDER,
+        recipient,
+        0,
+        MessageKind.MASKED_MATRIX,
+        {"values": values},
+        {"mask_id": mask_id, "subject": subject},
     )
 
 
@@ -72,6 +86,24 @@ class TestReconstruction:
         assert guesses  # the stale-mask guess exists for every data party
         for party, guess in guesses.items():
             assert guess != vectors[party.index - 1]
+
+    @pytest.mark.parametrize("mask_id,held", [(1, True), (9, False)])
+    def test_forced_guess_skips_a_vector_whose_mask_is_held(self, mask_id, held):
+        """The TTP gave HOLDER mask 1. A masked input of HOLDER blinded by
+        mask 1 is the exact attack's, so the guess leaves it out; one
+        blinded by a mask the TTP never held is guessed with mask 1."""
+        masked = _masked(
+            1, TTP, mask_id, {"kind": "input", "party": str(HOLDER)}, (15, 16)
+        )
+        view = View(
+            party=TTP,
+            ring=Ring(),
+            sent_messages=[_share(0, HOLDER, 1, (5, 6))],
+            received_messages=[masked],
+        )
+        exact = {HOLDER: (10, 10)}
+        assert forced_guess_inputs(view) == ({} if held else exact)
+        assert reconstruct_inputs(view) == (exact if held else {})
 
 
 class TestOfflineAudit:
@@ -123,6 +155,27 @@ class TestKnowledgeClosure:
                 assert inputs == {f"input:{party}"}
 
 
+    @pytest.mark.parametrize(
+        "factors,derived", [((1, 2), True), ((1, 4), False)], ids=["known", "missing"]
+    )
+    def test_collapsed_product_needs_every_factor_mask(self, factors, derived):
+        """The TTP knows masks 1-3 and receives a collapsed product of
+        `factors` blinded by mask 3: the product is derived only when every
+        factor mask is known."""
+        masked = _masked(3, TTP, 3, {"kind": "prod", "masks": factors})
+        view = View(
+            party=TTP,
+            ring=Ring(),
+            sent_messages=[_share(seq, HOLDER, seq + 1) for seq in range(3)],
+            received_messages=[masked],
+        )
+        atoms = knowledge_closure(view).atoms
+        assert atoms >= {"mask:1", "mask:2", "mask:3"}
+        product = "prod:" + ",".join(map(str, factors))
+        assert (product in atoms) == derived
+        assert {a for a in atoms if a.startswith("prod:")} <= {product}
+
+
 class TestTranscriptScans:
     def test_secure_scans_clean(self):
         for n in (3, 4, 5):
@@ -151,6 +204,12 @@ class TestTranscriptScans:
             _masked(9, OTHER), _share(2, OTHER), _share(3, HOLDER)
         )
         assert scan_mask_safety(transcript) == []
+
+    def test_mask_freshness_flags_a_repeated_id(self):
+        transcript = _delivered(
+            _share(0, HOLDER), _share(1, OTHER, mask_id=1), _share(2, OTHER)
+        )
+        assert scan_mask_freshness(transcript) == ["mask 0 distributed twice"]
 
 
 class TestCensus:

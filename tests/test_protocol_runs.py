@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from npscalar import (
     ProtocolStateError,
     Ring,
     count_instances,
+    enumerate_sub_instances,
     mixed_term,
     plaintext_oracle,
     reconstruct_inputs,
@@ -90,6 +93,20 @@ def _sub_results(run):
     ]
 
 
+def _kept(run):
+    """Child id -> the parent positions it keeps: its entry in its parent's
+    plan, counted from the smallest child id that parent received."""
+    reports = sorted((p["child"], parent) for parent, p in _sub_results(run))
+    first = {}
+    for child, parent in reports:
+        first.setdefault(parent, child)
+    sizes = _sizes(run)
+    return {
+        child: enumerate_sub_instances(sizes[parent])[child - first[parent]][0]
+        for child, parent in reports
+    }
+
+
 class TestCompletionAndStructure:
     def test_all_instances_done_and_depth_bounded(self):
         for n in (2, 3, 4, 5):
@@ -134,10 +151,11 @@ class TestCompletionAndStructure:
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
         sizes = _sizes(run)
+        kept = _kept(run)
         reports = _sub_results(run)
         for parent, payload in reports:
             assert payload["child"] > parent
-            assert sizes[payload["child"]] == len(payload["kept"]) + 1
+            assert sizes[payload["child"]] == len(kept[payload["child"]]) + 1
             assert sizes[payload["child"]] < sizes[parent]
         assert len(reports) == count_instances(5).total_instances - 1
 
@@ -151,9 +169,10 @@ class TestCompletionAndStructure:
             if m.instance_id == 0 and m.kind is MessageKind.SHARE_DISTRIBUTION
         )
         masks = [ModVector(mask, R64) for _, mask in shares]
+        kept = _kept(run)
         reports = [p for parent, p in _sub_results(run) if parent == 0]
         for payload in reports:
-            expected = mixed_term(payload["kept"], data, masks, R64)
+            expected = mixed_term(kept[payload["child"]], data, masks, R64)
             assert payload["value"] == expected
         assert len(reports) == 2**4 - 4 - 2
 
@@ -172,6 +191,24 @@ class TestCompletionAndStructure:
             )
             assert owners[2] == run.ttp
             assert owners[1] in run.data_parties
+
+    def test_payload_keys_match_the_readme_table(self):
+        """Every kind's payload carries exactly the keys, in the order, of
+        the README's transcript table."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.search(r"^\| kind .*?\n\n", readme, re.M | re.S).group(0)
+        table = {
+            kind: re.findall(r"`(\w+)`", payload)
+            for kind, payload in re.findall(
+                r"^\| `(\w+)` +\|[^|]*\|([^|]*)\|", rows, re.M
+            )
+        }
+        run = run_protocol(random_vectors(4, 2, 5), seed=5)
+        keys = {}
+        for msg in run.transcript:
+            keys.setdefault(msg.kind.value, set()).add(tuple(msg.payload))
+        assert keys == {kind: {tuple(names)} for kind, names in table.items()}
+        assert keys[MessageKind.SUB_RESULT.value] == {("to_pos", "child", "value")}
 
 
 class TestValidation:
@@ -247,7 +284,7 @@ class TestDuplicateRejection:
             (_chain_to(closing=True), lambda p: "duplicate"),
             (
                 _of_kind(MessageKind.SUB_RESULT),
-                lambda p: f"duplicate for kept {list(p['kept'])}",
+                lambda p: f"duplicate from child {p['child']}",
             ),
             (_of_kind(MessageKind.FINAL_RESULT), lambda p: "duplicate"),
         ],
@@ -433,7 +470,7 @@ class TestDropRejection:
             (_sub(_chain_to(closing=True)), lambda p: "missing"),
             (
                 _sub(_of_kind(MessageKind.SUB_RESULT)),
-                lambda p: f"missing for kept {list(p['kept'])}",
+                lambda p: f"missing from child {p['child']}",
             ),
             (_top(_of_kind(MessageKind.FINAL_RESULT)), lambda p: "missing"),
         ],
@@ -451,17 +488,18 @@ class TestDropRejection:
         assert error == f"{_named(msg)} {problem(msg.payload)}"
 
     @pytest.mark.parametrize(
-        "sizes,first", [((1, 2), [1]), ((2,), [1, 2])], ids=["all", "pairs"]
+        "children,first", [(range(1, 11), 1), (range(5, 11), 5)], ids=["all", "pairs"]
     )
-    def test_first_missing_sub_result_in_plan_order(self, sizes, first, monkeypatch):
+    def test_first_missing_sub_result_in_plan_order(self, children, first, monkeypatch):
         """With several sub-results of the top instance lost, the error
-        names the first missing child in plan order."""
+        names the first missing child in plan order. At n = 4 the top's
+        children are ids 1-4 (keeping one position) and 5-10 (keeping two)."""
 
         def lost(msg):
             return (
                 msg.kind is MessageKind.SUB_RESULT
                 and msg.instance_id == 0
-                and len(msg.payload["kept"]) in sizes
+                and msg.payload["child"] in children
             )
 
         monkeypatch.setattr(
@@ -470,7 +508,7 @@ class TestDropRejection:
         with pytest.raises(ProtocolStateError) as err:
             run_protocol(random_vectors(4, 2, 13), seed=13)
         assert str(err.value) == (
-            f"instance 0: SubResult at position 1: missing for kept {first}"
+            f"instance 0: SubResult at position 1: missing from child {first}"
         )
 
     @pytest.mark.parametrize("seed", range(12))
@@ -612,51 +650,30 @@ class TestMisrouteRejection:
         )
 
     @pytest.mark.parametrize(
-        "kept,shown,n",
+        "child,problem",
         [
-            ((1, 2, 3), "[1, 2, 3]", N),
-            ((4,), "[4]", N),
-            (4, "4", N),
-            ([[1]], "[[1]]", N),
-            ([True, 2], "[True, 2]", 4),
-            ([1.0, 2.0], "[1.0, 2.0]", 4),
+            (0, "unexpected child 0"),
+            (11, "unexpected child 11"),
+            (10**6, f"unexpected child {10**6}"),
+            (True, "child True is not an integer"),
+            (1.0, "child 1.0 is not an integer"),
+            ("x", "child x is not an integer"),
         ],
-        ids=["kept0", "kept1", "not-a-sequence", "unhashable", "bool", "float"],
+        ids=["itself", "grandchild", "unknown", "bool", "float", "str"],
     )
-    def test_unexpected_sub_result(self, kept, shown, n, monkeypatch):
-        """A kept set that is not in the plan: the whole instance, a
-        position it does not have, no sequence of positions at all, or
-        positions that equal planned ones but are not ints (True == 1 and
-        1.0 == 1). The report rewritten is that of the child keeping
-        positions 1..n-2, so at n = 4 the bool and float cases stand in
-        for a pending kept tuple they equal."""
-
-        def pick(msg):
-            return (
-                msg.kind is MessageKind.SUB_RESULT
-                and msg.payload["kept"] == tuple(range(1, n - 1))
-            )
-
-        _, error = self._run(monkeypatch, pick, "kept", lambda msg: kept, n=n)
-        assert error == (
-            f"instance 0: SubResult at position 1: unexpected for kept {shown}"
+    def test_unexpected_sub_result(self, child, problem, monkeypatch):
+        """A sub-result that names no pending child of the instance: the
+        instance itself, a grandchild (at n = 4 the top's children are ids
+        1-10, and child 5's first child is 11), an id no instance has, or
+        a child that is not exactly an int (True == 1 and 1.0 == 1)."""
+        _, error = self._run(
+            monkeypatch,
+            _of_kind(MessageKind.SUB_RESULT),
+            "child",
+            lambda msg: child,
+            n=4,
         )
-
-    def test_reordered_kept_is_unexpected(self, monkeypatch):
-        """The plan holds each kept set in position order; the same set in
-        another order is not in it."""
-
-        def pair(msg):
-            return msg.kind is MessageKind.SUB_RESULT and len(msg.payload["kept"]) == 2
-
-        msg, error = self._run(
-            monkeypatch, pair, "kept", lambda msg: msg.payload["kept"][::-1], n=4
-        )
-        kept = list(msg.payload["kept"])
-        assert kept[0] > kept[1]
-        assert error == (
-            f"instance 0: SubResult at position 1: unexpected for kept {kept}"
-        )
+        assert error == f"instance 0: SubResult at position 1: {problem}"
 
     @pytest.mark.parametrize("bad", [0, N + 1, "to_pos"])
     def test_masked_broadcast_from_bad_sender(self, bad, monkeypatch):
@@ -765,6 +782,18 @@ class TestMisrouteRejection:
                 lambda msg: True,
                 "FinalResult at position True: no such position (1..3)",
             ),
+            (
+                _of_kind(MessageKind.FINAL_RESULT),
+                "value",
+                lambda msg: msg.payload["value"] + 0.5,
+                "FinalResult at position 1: value {value} is not an integer",
+            ),
+            (
+                _of_kind(MessageKind.FINAL_RESULT),
+                "value",
+                lambda msg: "x",
+                "FinalResult at position 1: value x is not an integer",
+            ),
         ],
         ids=[
             "ShareDistribution-share-float",
@@ -779,6 +808,8 @@ class TestMisrouteRejection:
             "ChainValue-closing-value-float",
             "SubResult-value-float",
             "FinalResult-to-bool",
+            "FinalResult-value-float",
+            "FinalResult-value-str",
         ],
     )
     def test_not_an_int(self, pick, field, value, expected, monkeypatch):
@@ -788,6 +819,23 @@ class TestMisrouteRejection:
         msg, error = self._run(monkeypatch, pick, field, value)
         assert type(msg.payload[field]) is not int
         assert error == f"instance 0: {expected.format(**msg.payload)}"
+
+    def test_wrong_final_result(self, monkeypatch):
+        """A final result must carry the result position 1 published."""
+        nets = []
+
+        def network():
+            nets.append(MisroutingNetwork(
+                _top(_of_kind(MessageKind.FINAL_RESULT)), "value", lambda msg: 64
+            ))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol([(1, 2), (3, 4), (5, 6)], seed=7)
+        assert str(err.value) == (
+            "instance 0: FinalResult at position 1: value 64, expected 63"
+        )
 
     @pytest.mark.parametrize("case", list(MISROUTES))
     def test_wrong_recipient(self, case, monkeypatch):
@@ -885,9 +933,9 @@ class TestGoldenTranscripts:
             (2, 3, 1, Policy.SECURE,
              "67163f8e652fb9aec1d2497d484d920e7220a34233c5df4f2bf35c20c6f4aeb2"),
             (3, 2, 7, Policy.FLAWED,
-             "4146bdb6b4a169d95272320692be410e113e1d233ee1deaa297c1ce50b702097"),
+             "95c30db843120b53e4e766e1e0e27bbc471a37d1bfd42d356c2c1fb58877fee8"),
             (4, 4, 3, Policy.SECURE,
-             "67e0dd0233a46e57146daa4a869fae9c11c9c8077dc5cad7a234b19b45208b2c"),
+             "0caaecf03608ca2d0182aecd1ced7154717c8f2ce0c8311211ecfa11d72d6121"),
         ],
         # the digest stays out of the test id, so a re-pin keeps the name
         ids=["2-3-1-Policy.SECURE", "3-2-7-Policy.FLAWED", "4-4-3-Policy.SECURE"],
