@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .errors import ConfigError, InputShapeError, InstanceShapeError
 from .protocol import Policy
 from .ring import DEFAULT_MODULUS
@@ -63,6 +61,8 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Validate and normalize a YAML run configuration."""
+    import yaml
+
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

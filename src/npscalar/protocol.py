@@ -560,6 +560,11 @@ class ProtocolEngine:
         kept, _, coefficient = plan[child - inst.children.start]
         # the child's position 1 is the first position it keeps
         _check_sender(inst, msg, inst.positions[kept[0] - 1].owner)
+        if child in self.instances:
+            # `_publish` releases a child before it sends its report
+            raise _rejected(
+                inst.instance_id, msg.kind, 1, f"child {child} has not reported"
+            )
         inst.pending_subs.remove(child)
         inst.sub_results.append((coefficient, _integer(inst, msg, "value")))
         self._maybe_finalize(inst)

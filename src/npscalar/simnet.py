@@ -67,6 +67,23 @@ class Message:
         return f"Message(seq={self.seq}, {self.sender}->{self.recipient}, {self.kind.value})"
 
 
+# One exported record: `Message.record()`'s keys in `sort_keys` order, each
+# filled with its value's JSON text.
+_LINE = '{"from":%s,"instance":%s,"kind":%s,"meta":%s,"payload":%s,"seq":%s,"to":%s}'
+
+
+class _Memo(dict):
+    """`memo[key]` is `make(key)`, computed on the first lookup only."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
 class Transcript:
     """Append-only, totally ordered log of every delivered message."""
 
@@ -102,22 +119,43 @@ class Transcript:
     def export_jsonl(self) -> str:
         """Line-delimited records, bit-exact across replays with one seed.
 
-        Each line is `json.dumps(record, sort_keys=True, separators=(",",
-        ":"))`. That call builds a new encoder for every record, which costs
-        more than the encoding, so one C encoder with the settings `dumps`
-        would use serves the whole export. Its `markers` dict is fresh per
+        Each line equals `json.dumps(m.record(), sort_keys=True,
+        separators=(",", ":"))`, which stays the reference. No record dict
+        is built: `_LINE` is the record's envelope with its keys already in
+        sorted order. The party names and kinds are encoded once per export,
+        `seq` and `instance` are written as int text when their type is
+        exactly `int`, and every other field value goes through one encoder
+        with the settings `dumps` would use: the C encoder where `_json` is
+        present, else `JSONEncoder.encode`. Its `markers` dict is fresh per
         export, so the circular-reference check stays, and `default` raises
         the same `TypeError`."""
-        records = (m.record() for m in self._messages)
         dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
         if c_make_encoder is None:
-            return "\n".join(map(dumps.encode, records))
-        encode = c_make_encoder(
-            {}, dumps.default, encode_basestring_ascii, dumps.indent,
-            dumps.key_separator, dumps.item_separator, dumps.sort_keys,
-            dumps.skipkeys, dumps.allow_nan,
-        )
-        return "\n".join("".join(encode(rec, 0)) for rec in records)
+            encode = dumps.encode
+        else:
+            c_encode = c_make_encoder(
+                {}, dumps.default, encode_basestring_ascii, dumps.indent,
+                dumps.key_separator, dumps.item_separator, dumps.sort_keys,
+                dumps.skipkeys, dumps.allow_nan,
+            )
+
+            def encode(value):
+                return "".join(c_encode(value, 0))
+
+        names = _Memo(lambda party: encode(str(party)))
+        kinds = _Memo(lambda kind: encode(kind.value))
+        return "\n".join([
+            _LINE % (
+                names[m.sender],
+                i if type(i := m.instance_id) is int else encode(i),
+                kinds[m.kind],
+                encode(m.meta),
+                encode(m.payload),
+                s if type(s := m.seq) is int else encode(s),
+                names[m.recipient],
+            )
+            for m in self._messages
+        ])
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":

@@ -126,6 +126,28 @@ class TestOfflineAudit:
         assert recovered == reconstruct_inputs(run.view_of(run.ttp))
         assert len(recovered) == (n if policy is Policy.FLAWED else 0)
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_view_audits_the_same_offline(self, n, policy):
+        """Each party's closure and reconstruction read the same from the
+        live run and from its exported transcript, whose payloads come
+        back as lists, not tuples. Own inputs are not in a transcript, so
+        the offline view takes them from the party."""
+        vectors = random_vectors(n, 2, seed=n * 13)
+        run = run_protocol(vectors, seed=6, policy=policy)
+        imported = Transcript.from_jsonl(run.transcript.export_jsonl())
+        assert all(
+            type(m.payload["mask"]) is list
+            for m in imported
+            if m.kind is MessageKind.SHARE_DISTRIBUTION
+        )
+        for party in (*run.data_parties, run.ttp):
+            live = run.view_of(party)
+            sent, received = imported.messages_of(party)
+            offline = View(party, run.ring, live.own_inputs, sent, received)
+            assert knowledge_closure(offline).atoms == knowledge_closure(live).atoms
+            assert reconstruct_inputs(offline) == reconstruct_inputs(live)
+
 
 class TestKnowledgeClosure:
     def test_secure_ttp_knows_masks_not_inputs(self):

@@ -675,6 +675,32 @@ class TestMisrouteRejection:
         )
         assert error == f"instance 0: SubResult at position 1: {problem}"
 
+    def test_sub_result_renamed_to_running_child(self, monkeypatch):
+        """At n = 4 the top's child 1 keeps position 1 and child 5 keeps
+        positions 1 and 2, so p1 sends both reports. Child 1's report
+        renamed to child 5 arrives while child 5 still runs, and is itself
+        rejected; the run never reaches child 5's honest report."""
+        nets = []
+
+        def network():
+            nets.append(MisroutingNetwork(
+                _top(lambda msg: msg.kind is MessageKind.SUB_RESULT
+                     and msg.payload["child"] == 1),
+                "child",
+                lambda msg: 5,
+            ))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(4, 2, 11), seed=11)
+        tampered = nets[0].misrouted
+        assert tampered is not None and tampered.sender == PartyId.data(1)
+        assert list(nets[0].transcript)[-1] is tampered
+        assert str(err.value) == (
+            "instance 0: SubResult at position 1: child 5 has not reported"
+        )
+
     @pytest.mark.parametrize("bad", [0, N + 1, "to_pos"])
     def test_masked_broadcast_from_bad_sender(self, bad, monkeypatch):
         def value(msg):

@@ -22,13 +22,17 @@ def test_star_import():
     assert set(npscalar.__all__) <= namespace.keys()
 
 
-def test_import_leaves_numpy_and_scipy_out():
-    """Importing the package pulls in neither numpy nor scipy (scipy is
-    imported lazily by `uniformity_pvalue`): either would add its import
-    time to every process that only runs the protocol."""
+def test_import_leaves_numpy_scipy_and_yaml_out():
+    """Importing the package pulls in none of numpy, scipy and PyYAML
+    (scipy is imported by `uniformity_pvalue`, PyYAML by `parse_config`,
+    when called): each would add its import time and memory to every
+    process that only runs the protocol."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = "import sys, npscalar; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"
+    code = (
+        "import sys, npscalar; "
+        "print(sorted({'numpy', 'scipy', 'yaml'} & sys.modules.keys()))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npscalar import (
     Message,
@@ -102,6 +104,48 @@ def _hand_built(*payloads, metas=None, sender=ALICE):
     return transcript
 
 
+class _Int(int):
+    """An int whose text is not its digits; `json` writes it as an int."""
+
+    def __repr__(self):
+        return "_Int"
+
+    __str__ = __repr__
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),
+    st.floats(),
+    st.text(),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_parties = st.one_of(
+    st.integers(min_value=1, max_value=12).map(PartyId.data),
+    st.text(max_size=4).map(PartyId.ttp),
+)
+
+
+@st.composite
+def _messages(draw):
+    """A message whose fields are any JSON-able values: str keys, big
+    ints, non-ASCII text, tuples and lists."""
+    payload = draw(st.dictionaries(st.text(max_size=4), _json_values, max_size=3))
+    meta = draw(st.dictionaries(st.text(max_size=4), _json_values, max_size=2))
+    seq, instance = draw(_scalars), draw(_scalars)
+    kind = draw(st.sampled_from(list(MessageKind)))
+    return Message(seq, draw(_parties), draw(_parties), instance, kind, payload, meta)
+
+
 class TestExportEncoder:
     """`export_jsonl` is `json.dumps` per record, bytes and errors alike."""
 
@@ -146,6 +190,40 @@ class TestExportEncoder:
         fast = run.transcript.export_jsonl()
         monkeypatch.setattr(simnet, "c_make_encoder", None)
         assert run.transcript.export_jsonl() == fast == _stdlib_export(run.transcript)
+
+    @pytest.mark.parametrize("field", ["seq", "instance_id"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, 1.5, float("nan"), "7", None, _Int(7)],
+        ids=["bool", "float", "nan", "str", "none", "int-subclass"],
+    )
+    def test_envelope_number_that_is_not_an_int(self, field, value, monkeypatch):
+        """Only an exact `int` is written as int text; any other `seq` or
+        `instance` is encoded as `json.dumps` would encode it, with or
+        without the C encoder."""
+        transcript = _hand_built({"v": 1}, {"v": 2})
+        setattr(list(transcript)[1], field, value)
+        expected = _stdlib_export(transcript)
+        assert transcript.export_jsonl() == expected
+        monkeypatch.setattr(simnet, "c_make_encoder", None)
+        assert transcript.export_jsonl() == expected
+
+    def test_unserialisable_seq_raises_same_error(self):
+        transcript = _hand_built({"v": 1})
+        list(transcript)[0].seq = object()
+        with pytest.raises(TypeError) as expected:
+            _stdlib_export(transcript)
+        with pytest.raises(TypeError) as got:
+            transcript.export_jsonl()
+        assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(messages=st.lists(_messages(), min_size=1, max_size=4))
+    def test_random_records_match_stdlib(self, messages):
+        transcript = Transcript()
+        for msg in messages:
+            transcript.append(msg)
+        assert transcript.export_jsonl() == _stdlib_export(transcript)
 
 
 class TestViews:
