@@ -29,11 +29,14 @@ message flow, and therefore the instance census, is identical under both
 policies.
 
 Readiness is per position, not per instance: there is no instance-wide
-phase. A position broadcasts once its share distribution arrives and takes
-its chain step once it holds its mask and share, every other masked vector
-and the previous chain value; position 1 aggregates once the closing chain
-value and every sub-result are in. Messages of different positions or
-stages may therefore arrive in any order the causal chain allows.
+phase. A position broadcasts once its share distribution arrives. `start`
+sets its count of what its chain step awaits: the share distribution, the
+m-1 other masked vectors and, past position 1, the previous chain value.
+A handler counts a message down once its checks admit it, so a duplicate
+never counts; the message that reaches 0 takes the one step. Position 1
+aggregates once the closing chain value and every sub-result are in.
+Messages of different positions or stages may therefore arrive in any
+order the causal chain allows.
 
 Instances run depth first over sibling groups. `start` sends an
 instance's shares and spawns its children in plan order, each registered
@@ -85,7 +88,7 @@ from .errors import (
     TtpAssignmentError,
 )
 from .parties import PartyId
-from .ring import ModVector, Ring, product_trace
+from .ring import ModVector, Ring, _add, _trace
 from .shares import Rng, ShareBundle, generate_share_bundles
 from .simnet import MessageKind, Network, View
 
@@ -93,6 +96,15 @@ from .simnet import MessageKind, Network, View
 class Policy(Enum):
     SECURE = "secure"
     FLAWED = "flawed"
+
+
+# Members used per message; a `MessageKind.X` lookup costs ~0.1 µs on 3.11.
+_SECURE = Policy.SECURE
+_SHARE = MessageKind.SHARE_DISTRIBUTION
+_MASKED = MessageKind.MASKED_MATRIX
+_CHAIN = MessageKind.CHAIN_VALUE
+_SUB = MessageKind.SUB_RESULT
+_FINAL = MessageKind.FINAL_RESULT
 
 
 @functools.cache
@@ -136,35 +148,35 @@ def assign_ttp(
 
 
 def chain_init(
-    own_vector: ModVector,
-    masked_others: Collection[ModVector],
+    own_vector: tuple,
+    masked_others: Collection[tuple],
     own_share: int,
     output_mask: int,
     ring: Ring,
 ) -> int:
     """First chain value: trace of (all other masked vectors times own
-    plaintext), plus (m-1) times the own share, minus the output mask."""
+    plaintext), plus (m-1) times the own share, minus the output mask.
+    Vectors are entry tuples of one length, reduced."""
     if not masked_others:
         raise ProtocolStateError("chain start requires every other masked vector")
-    m = len(masked_others) + 1
-    t = product_trace([*masked_others, own_vector], ring)
-    return ring.reduce(t + (m - 1) * own_share - output_mask)
+    t = _trace(own_vector, masked_others, ring)
+    return ring.reduce(t + len(masked_others) * own_share - output_mask)
 
 
 def chain_step(
     prev: int,
-    own_mask: ModVector,
-    masked_others: Collection[ModVector],
+    own_mask: tuple,
+    masked_others: Collection[tuple],
     own_share: int,
     ring: Ring,
 ) -> int:
     """Next chain value: subtract the trace of (all other masked vectors
-    times the own mask), add (m-1) times the own share."""
+    times the own mask), add (m-1) times the own share. Vectors are entry
+    tuples of one length, reduced."""
     if not masked_others:
         raise ProtocolStateError("chain step requires every other masked vector")
-    m = len(masked_others) + 1
-    t = product_trace([*masked_others, own_mask], ring)
-    return ring.reduce(prev - t + (m - 1) * own_share)
+    t = _trace(own_mask, masked_others, ring)
+    return ring.reduce(prev - t + len(masked_others) * own_share)
 
 
 def aggregate_final(
@@ -196,6 +208,7 @@ class _Position:
         "masked",
         "chain_prev",
         "output_mask",
+        "waiting",
     )
 
     def __init__(self, owner: PartyId, vector: ModVector, subject: dict):
@@ -204,17 +217,20 @@ class _Position:
         # what the vector is, as its transcript record; shared, never mutated:
         # {"kind": "input", "party": ...} or {"kind": "prod", "masks": (sorted ids)}
         self.subject = subject
-        # from the share distribution; the mask is None until it arrives
-        self.mask: Optional[ModVector] = None
+        # from the share distribution; the mask's entries are None until it
+        # arrives
+        self.mask: Optional[tuple] = None
         self.share: Optional[int] = None
         self.mask_id: Optional[int] = None
-        # from_pos -> masked vector; None once the chain value is sent, as
-        # every other masked vector has arrived by then
-        self.masked: Optional[dict[int, ModVector]] = {}
+        # from_pos -> masked vector's entries; None once the chain value is
+        # sent, as every other masked vector has arrived by then
+        self.masked: Optional[dict[int, tuple]] = {}
         # the chain value from the position before; position 1's is the
         # closing value
         self.chain_prev: Optional[int] = None
         self.output_mask: Optional[int] = None
+        # messages still to come before the chain step; `start` sets it
+        self.waiting = 0
 
 
 # the empty collections shared by every instance that spawns no children
@@ -228,6 +244,8 @@ class ProtocolInstance:
         "instance_id",
         "parent_id",
         "positions",
+        "m",
+        "length",
         "ttp",
         "depth",
         "children",
@@ -240,6 +258,9 @@ class ProtocolInstance:
     def __init__(self, instance_id, positions, ttp, parent_id=None, depth=0):
         self.instance_id = instance_id
         self.positions: list[_Position] = positions
+        # the instance's size and vector length, for every message's checks
+        self.m = len(positions)
+        self.length = len(positions[0].vector.entries) if positions else 0
         self.ttp = ttp
         self.parent_id = parent_id
         self.depth = depth
@@ -252,14 +273,6 @@ class ProtocolInstance:
         # positions that got the published result; only the top instance
         # publishes, so the others keep one shared empty set
         self.final_delivered: frozenset[int] = _EMPTY
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    @property
-    def participants(self) -> tuple[PartyId, ...]:
-        return tuple(p.owner for p in self.positions)
 
 
 def _rejected(instance_id: int, kind: MessageKind, position, problem: str):
@@ -275,8 +288,8 @@ def _receiver(inst: ProtocolInstance, msg) -> int:
     """The position `msg` goes to, once its `to_pos` is exactly an int
     position of the instance and the recipient owns that position."""
     j = msg.payload["to_pos"]
-    if type(j) is not int or not 1 <= j <= len(inst.positions):
-        problem = f"no such position (1..{inst.n})"
+    if type(j) is not int or not 1 <= j <= inst.m:
+        problem = f"no such position (1..{inst.m})"
         raise _rejected(inst.instance_id, msg.kind, j, problem)
     expected = inst.positions[j - 1].owner
     if msg.recipient != expected:
@@ -341,31 +354,31 @@ class ProtocolEngine:
         The children's collapsed mask products are built here, so the
         bundles die with this call; the children themselves start later,
         as one sibling group."""
-        m = len(inst.positions)
+        m, length, ttp = inst.m, inst.length, inst.ttp
         if m < 2:
             raise InstanceShapeError("instances need at least 2 positions")
-        if self.policy is Policy.SECURE and inst.ttp in inst.participants:
-            raise TtpAssignmentError(
-                f"{inst.ttp} cannot generate shares for an instance it joins"
-            )
-        length = len(inst.positions[0].vector.entries)
+        secure = self.policy is _SECURE
         for pos in inst.positions:
             if len(pos.vector.entries) != length:
                 raise InputShapeError("instance vectors must share one length")
+            if secure and pos.owner == ttp:
+                raise TtpAssignmentError(
+                    f"{ttp} cannot generate shares for an instance it joins"
+                )
+            # share, m-1 masked vectors and the previous chain value
+            pos.waiting = m + 1
+        inst.positions[0].waiting = m  # position 1 opens the chain
         bundles = generate_share_bundles(
             m, length, self.ring, self.rng, ids=self.mask_ids
         )
+        send, iid = self.net.send, inst.instance_id
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
-            self.net.send(
-                inst.ttp,
+            send(
+                ttp,
                 pos.owner,
-                inst.instance_id,
-                MessageKind.SHARE_DISTRIBUTION,
-                {
-                    "to_pos": i,
-                    "mask": bundle.mask.entries,
-                    "share": bundle.share,
-                },
+                iid,
+                _SHARE,
+                {"to_pos": i, "mask": bundle.mask.entries, "share": bundle.share},
                 {"mask_id": bundle.mask_id},
             )
         children = [
@@ -434,29 +447,30 @@ class ProtocolEngine:
         if pos.mask is not None:
             raise _rejected(inst.instance_id, msg.kind, i, "duplicate")
         mask = msg.payload["mask"]
-        length = len(pos.vector.entries)
-        if len(mask) != length:
-            problem = f"{len(mask)} mask entries, expected {length}"
+        if len(mask) != inst.length:
+            problem = f"{len(mask)} mask entries, expected {inst.length}"
             raise _rejected(inst.instance_id, msg.kind, i, problem)
         pos.share = _integer(inst, msg, "share")
-        pos.mask = ModVector._reduced(mask, self.ring)
+        pos.mask = mask
         pos.mask_id = msg.meta["mask_id"]
-        self._send_masked(inst, i)
-        self._maybe_chain(inst, i)
+        self._send_masked(inst, i, pos)
+        pos.waiting -= 1
+        if not pos.waiting:
+            self._chain(inst, i, pos)
 
-    def _send_masked(self, inst: ProtocolInstance, i: int) -> None:
+    def _send_masked(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
         """Broadcast position i's masked vector to every other position;
         all recipients share one immutable entries tuple."""
-        pos = inst.positions[i - 1]
-        values = pos.vector.add(pos.mask).entries
+        values = _add(pos.vector.entries, pos.mask, self.ring)
         meta = {"mask_id": pos.mask_id, "subject": pos.subject}
+        send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
-                self.net.send(
-                    pos.owner,
+                send(
+                    owner,
                     other.owner,
-                    inst.instance_id,
-                    MessageKind.MASKED_MATRIX,
+                    iid,
+                    _MASKED,
                     {"from_pos": i, "to_pos": j, "values": values},
                     meta,
                 )
@@ -464,68 +478,49 @@ class ProtocolEngine:
     def _on_masked(self, inst: ProtocolInstance, msg) -> None:
         j = _receiver(inst, msg)
         i = msg.payload["from_pos"]
-        if type(i) is not int or i == j or not 1 <= i <= len(inst.positions):
+        if type(i) is not int or i == j or not 1 <= i <= inst.m:
             problem = f"from position {i}, not another position"
             raise _rejected(inst.instance_id, msg.kind, j, problem)
         _check_sender(inst, msg, inst.positions[i - 1].owner)
         pos = inst.positions[j - 1]
-        if pos.masked is None or i in pos.masked:
+        masked = pos.masked
+        if masked is None or i in masked:
             problem = f"duplicate from position {i}"
             raise _rejected(inst.instance_id, msg.kind, j, problem)
         values = msg.payload["values"]
-        length = len(pos.vector.entries)
-        if len(values) != length:
-            problem = f"{len(values)} values from position {i}, expected {length}"
+        if len(values) != inst.length:
+            problem = f"{len(values)} values from position {i}, expected {inst.length}"
             raise _rejected(inst.instance_id, msg.kind, j, problem)
-        pos.masked[i] = ModVector._reduced(values, self.ring)
-        self._maybe_chain(inst, j)
+        masked[i] = values
+        pos.waiting -= 1
+        if not pos.waiting:
+            self._chain(inst, j, pos)
 
     # -- chain -------------------------------------------------------------
 
-    def _maybe_chain(self, inst: ProtocolInstance, i: int) -> None:
-        """Position i's chain step, once it holds its mask and share, every
-        other masked vector and, past position 1, the previous chain value.
+    def _chain(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
+        """Position i's chain step, taken once it waits for nothing more.
         Position 1 draws the output mask and opens the chain. The masked
         vectors are freed once the step is sent."""
-        pos = inst.positions[i - 1]
-        m = len(inst.positions)
-        if (
-            pos.masked is None
-            or pos.mask is None
-            or len(pos.masked) < m - 1
-            or (i > 1 and pos.chain_prev is None)
-        ):
-            return
+        ring, masked = self.ring, pos.masked.values()
         if i == 1:
-            pos.output_mask = self.rng.element(self.ring)
-            value = chain_init(
-                pos.vector,
-                pos.masked.values(),
-                pos.share,
-                pos.output_mask,
-                self.ring,
-            )
+            out = pos.output_mask = self.rng.element(ring)
+            value = chain_init(pos.vector.entries, masked, pos.share, out, ring)
         else:
-            value = chain_step(
-                pos.chain_prev,
-                pos.mask,
-                pos.masked.values(),
-                pos.share,
-                self.ring,
-            )
+            value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
         pos.masked = None
-        nxt = i % m + 1
+        nxt = i % inst.m + 1
         self.net.send(
             pos.owner,
             inst.positions[nxt - 1].owner,
             inst.instance_id,
-            MessageKind.CHAIN_VALUE,
+            _CHAIN,
             {"from_pos": i, "to_pos": nxt, "value": value},
         )
 
     def _on_chain(self, inst: ProtocolInstance, msg) -> None:
         j = _receiver(inst, msg)
-        before = (j - 2) % len(inst.positions) + 1  # m before 1
+        before = (j - 2) % inst.m + 1  # m before 1
         _check_sender(inst, msg, inst.positions[before - 1].owner)
         i = msg.payload["from_pos"]
         if type(i) is not int or i != before:
@@ -537,8 +532,10 @@ class ProtocolEngine:
         pos.chain_prev = _integer(inst, msg, "value")
         if j == 1:
             self._maybe_finalize(inst)
-        else:
-            self._maybe_chain(inst, j)
+            return
+        pos.waiting -= 1
+        if not pos.waiting:
+            self._chain(inst, j, pos)
 
     # -- aggregation -------------------------------------------------------
 
@@ -556,7 +553,7 @@ class ProtocolEngine:
             else:
                 problem = f"unexpected child {child}"
             raise _rejected(inst.instance_id, msg.kind, 1, problem)
-        plan = enumerate_sub_instances(len(inst.positions))
+        plan = enumerate_sub_instances(inst.m)
         kept, _, coefficient = plan[child - inst.children.start]
         # the child's position 1 is the first position it keeps
         _check_sender(inst, msg, inst.positions[kept[0] - 1].owner)
@@ -591,11 +588,11 @@ class ProtocolEngine:
 
     # kind -> handler, for `dispatch`
     _HANDLERS = {
-        MessageKind.SHARE_DISTRIBUTION: _on_share,
-        MessageKind.MASKED_MATRIX: _on_masked,
-        MessageKind.CHAIN_VALUE: _on_chain,
-        MessageKind.SUB_RESULT: _on_sub_result,
-        MessageKind.FINAL_RESULT: _on_final,
+        _SHARE: _on_share,
+        _MASKED: _on_masked,
+        _CHAIN: _on_chain,
+        _SUB: _on_sub_result,
+        _FINAL: _on_final,
     }
 
     def _publish(self, inst: ProtocolInstance) -> None:
@@ -606,7 +603,7 @@ class ProtocolEngine:
                     first_owner,
                     pos.owner,
                     inst.instance_id,
-                    MessageKind.FINAL_RESULT,
+                    _FINAL,
                     {"to_pos": j, "value": inst.result},
                 )
         else:
@@ -616,7 +613,7 @@ class ProtocolEngine:
                 first_owner,
                 parent.positions[0].owner,
                 parent.instance_id,
-                MessageKind.SUB_RESULT,
+                _SUB,
                 {"to_pos": 1, "child": inst.instance_id, "value": inst.result},
             )
 
@@ -664,19 +661,19 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
     iid = inst.instance_id
     for i, pos in enumerate(inst.positions, start=1):
         if pos.mask is None:
-            return _rejected(iid, MessageKind.SHARE_DISTRIBUTION, i, "missing")
+            return _rejected(iid, _SHARE, i, "missing")
     for j, pos in enumerate(inst.positions, start=1):
         if pos.masked is None:  # stepped, so it held every masked vector
             continue
-        for i in range(1, inst.n + 1):
+        for i in range(1, inst.m + 1):
             if i != j and i not in pos.masked:
                 problem = f"missing from position {i}"
-                return _rejected(iid, MessageKind.MASKED_MATRIX, j, problem)
-    for j in (*range(2, inst.n + 1), 1):
+                return _rejected(iid, _MASKED, j, problem)
+    for j in (*range(2, inst.m + 1), 1):
         if inst.positions[j - 1].chain_prev is None:
-            return _rejected(iid, MessageKind.CHAIN_VALUE, j, "missing")
+            return _rejected(iid, _CHAIN, j, "missing")
     problem = f"missing from child {min(inst.pending_subs)}"
-    return _rejected(iid, MessageKind.SUB_RESULT, 1, problem)
+    return _rejected(iid, _SUB, 1, problem)
 
 
 def run_protocol(
@@ -738,9 +735,9 @@ def run_protocol(
     for inst in reversed(engine.instances.values()):
         if inst.result is None:
             raise _stalled(inst)
-    for j in range(1, top.n + 1):
+    for j in range(1, top.m + 1):
         if j not in top.final_delivered:
-            raise _rejected(top.instance_id, MessageKind.FINAL_RESULT, j, "missing")
+            raise _rejected(top.instance_id, _FINAL, j, "missing")
     return RunResult(
         result=top.result,
         ring=ring,

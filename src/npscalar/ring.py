@@ -21,10 +21,12 @@ A `ModVector`'s entries are always a non-empty tuple of Python ints in
 [0, modulus). The public constructor establishes that by reducing every
 entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
 it stores the tuple as given, with no copy, no reduction and no length
-check. Use it only for a tuple that is reduced by construction: the result
-of a kernel below, a uniform draw below the modulus, or the entries of
-another `ModVector`. Entries are immutable, so such a tuple can be shared
-between vectors and message payloads.
+check. Its callers pass a tuple reduced by construction: a kernel's
+result, or a uniform draw below the modulus (`Rng.vector` and the slices
+of one draw that make an instance's masks). Entries are immutable, so such
+a tuple can be shared between vectors and message payloads. The private
+kernels `_add` and `_trace` take bare entry tuples of one length, checked
+by their caller; the engine keeps received vectors in that form.
 """
 
 from __future__ import annotations
@@ -94,11 +96,8 @@ class ModVector:
 
     def add(self, other: "ModVector") -> "ModVector":
         self._check(other)
-        op, k = self.ring._reduction
-        return ModVector._reduced(
-            tuple(map(op, map(operator.add, self.entries, other.entries), repeat(k))),
-            self.ring,
-        )
+        ring = self.ring
+        return ModVector._reduced(_add(self.entries, other.entries, ring), ring)
 
     def hadamard(self, other: "ModVector") -> "ModVector":
         """Entrywise product (the product of two diagonal matrices)."""
@@ -114,17 +113,27 @@ def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
     """Trace of the product of the diagonal matrices encoded by `vectors`.
 
     Equals the n-way inner product sum_j prod_i vectors[i][j] mod modulus.
-    Each entry's product is a left fold of C-level `map`s, so no per-entry
-    tuple is built; the sum is taken over exact integers and reduced once
-    at the end.
     """
     if not vectors:
         raise InputShapeError("product_trace needs at least one vector")
-    products = vectors[0].entries
-    length = len(products)
+    length = len(vectors[0].entries)
     for v in vectors[1:]:
         if len(v.entries) != length:
             raise InputShapeError("length mismatch in product_trace")
-        products = map(operator.mul, products, v.entries)
-    return sum(products) % ring.modulus
+    return _trace(vectors[0].entries, [v.entries for v in vectors[1:]], ring)
 
+
+def _add(a: tuple, b: tuple, ring: Ring) -> tuple:
+    """Entrywise sum of two entry tuples of one length, reduced."""
+    op, k = ring._reduction
+    return tuple(map(op, map(operator.add, a, b), repeat(k)))
+
+
+def _trace(first: tuple, rest: Iterable[tuple], ring: Ring) -> int:
+    """sum_j first[j] * prod(r[j] for r in rest) mod modulus. Each entry's
+    product is a left fold of C-level `map`s, so no per-entry tuple is
+    built; the exact sum is reduced once at the end."""
+    products = first
+    for entries in rest:
+        products = map(operator.mul, products, entries)
+    return sum(products) % ring.modulus

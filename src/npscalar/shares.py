@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InstanceShapeError
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
@@ -27,6 +26,10 @@ class Rng:
     draw. Over any other modulus every element is one `randrange(modulus)`,
     whose rejection sampling is what makes a draw below a modulus that is
     not a power of two exactly uniform.
+
+    Either way one vector of n * L entries equals n successive vectors of
+    length L and leaves the same stream state: `getrandbits` consumes whole
+    32-bit outputs, low word first.
     """
 
     def __init__(self, seed: int):
@@ -47,12 +50,12 @@ class Rng:
         return ModVector._reduced(tuple(draws), ring)
 
 
-@dataclass(frozen=True)
-class ShareBundle:
+class ShareBundle(NamedTuple):
     """One party's correlated randomness: a mask vector and a scalar share.
 
     Across one instance's bundles the scalar shares sum to the trace of the
-    product of the mask vectors.
+    product of the mask vectors. A bundle is an immutable tuple
+    (mask, share, mask_id).
     """
 
     mask: ModVector
@@ -88,9 +91,11 @@ def generate_share_bundles(
     if length < 1:
         raise InstanceShapeError("vector length must be >= 1")
     ids = ids if ids is not None else itertools.count()
-    masks = [rng.vector(ring, length) for _ in range(n)]
-    shares = split_value(product_trace(masks, ring), n, ring, rng)
-    return [
-        ShareBundle(mask=masks[i], share=shares[i], mask_id=next(ids))
-        for i in range(n)
+    # one draw for all n masks: the same entries as n draws (see `Rng`)
+    block = rng.vector(ring, n * length).entries
+    masks = [
+        ModVector._reduced(block[i : i + length], ring)
+        for i in range(0, n * length, length)
     ]
+    shares = split_value(product_trace(masks, ring), n, ring, rng)
+    return [ShareBundle(mask, share, next(ids)) for mask, share in zip(masks, shares)]

@@ -581,6 +581,57 @@ class TestShuffledDelivery:
                 assert recovered[PartyId.data(i)] == tuple(truth)
 
 
+class TestReadinessOrder:
+    """A position takes its chain step once, after every message that
+    enables it: its share distribution, the m-1 masked vectors sent to it
+    and, past position 1, the incoming chain value."""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_chain_value_after_its_enablers(self, n, policy):
+        run = run_protocol(random_vectors(n, 2, n), seed=n, policy=policy)
+        enablers = {}  # (instance, position) -> seqs of the messages it awaits
+        chain_sent = {}  # (instance, position) -> seqs of its chain values
+        for msg in run.transcript:
+            to = (msg.instance_id, msg.payload["to_pos"])
+            if msg.kind is MessageKind.CHAIN_VALUE:
+                sender = (msg.instance_id, msg.payload["from_pos"])
+                chain_sent.setdefault(sender, []).append(msg.seq)
+                if to[1] == 1:  # the closing value follows position 1's step
+                    continue
+            if msg.kind in (
+                MessageKind.SHARE_DISTRIBUTION,
+                MessageKind.MASKED_MATRIX,
+                MessageKind.CHAIN_VALUE,
+            ):
+                enablers.setdefault(to, []).append(msg.seq)
+        sizes = _sizes(run)
+        assert len(enablers) == sum(sizes.values())
+        assert chain_sent.keys() == enablers.keys()
+        for (iid, j), seqs in enablers.items():
+            assert len(seqs) == sizes[iid] + (j > 1)
+            assert len(chain_sent[iid, j]) == 1
+            assert chain_sent[iid, j][0] > max(seqs)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_lost_masked_vector_stalls_its_position(self, n, policy, monkeypatch):
+        """Everything else reaches the position, so it must still wait."""
+        nets = []
+
+        def network():
+            nets.append(DroppingNetwork(_top(_of_kind(MessageKind.MASKED_MATRIX))))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol(random_vectors(n, 2, n), seed=n, policy=policy)
+        msg = nets[0].dropped
+        assert str(err.value) == (
+            f"{_named(msg)} missing from position {msg.payload['from_pos']}"
+        )
+
+
 class MisroutingNetwork(Network):
     """Rewrites one field of the first delivered message that `pick`
     selects to `value(msg)`: its sender, its recipient, its instance id or

@@ -26,29 +26,29 @@ def vec(entries):
 class TestChainInit:
     def test_worked_example(self):
         # trace(8*11*2) + 2*10 - 5
-        assert chain_init(vec([2]), [vec([8]), vec([11])], 10, 5, R64) == 191
+        assert chain_init((2,), [(8,), (11,)], 10, 5, R64) == 191
 
     def test_zero_masks_leave_trace_minus_output_mask(self):
-        data = [vec([1, 2]), vec([3, 4]), vec([5, 6])]
+        data = [(1, 2), (3, 4), (5, 6)]
         got = chain_init(data[0], data[1:], 0, 9, R64)
         assert got == R64.reduce(63 - 9)
 
     def test_zero_vector_zero_shares(self):
-        assert chain_init(vec([0]), [vec([4]), vec([5])], 0, 0, R64) == 0
+        assert chain_init((0,), [(4,), (5,)], 0, 0, R64) == 0
 
 
 class TestChainStep:
     def test_worked_example(self):
         # 191 - trace(3*11*5) + 2*20
-        assert chain_step(191, vec([5]), [vec([3]), vec([11])], 20, R64) == 66
+        assert chain_step(191, (5,), [(3,), (11,)], 20, R64) == 66
 
     def test_zero_mask_zero_share_is_identity(self):
-        assert chain_step(123, vec([0, 0]), [vec([7, 8]), vec([1, 2])], 0, R64) == 123
+        assert chain_step(123, (0, 0), [(7, 8), (1, 2)], 0, R64) == 123
 
     def test_zero_mask_chain_collapses(self):
         # all masks zero: the chain carries trace(data) - output mask through
-        data = [vec([1, 2]), vec([3, 4]), vec([5, 6])]
-        zero = vec([0, 0])
+        data = [(1, 2), (3, 4), (5, 6)]
+        zero = (0, 0)
         u = chain_init(data[0], data[1:], 0, 9, R64)
         for i in (2, 3):
             u = chain_step(u, zero, [data[x - 1] for x in (1, 2, 3) if x != i], 0, R64)
@@ -166,10 +166,10 @@ class TestTwoPositionChain:
         masked_b = b.add(mask_b)
         assert masked_b.entries == (10,)
         # trace(10*2) + 11 - 4
-        first = chain_init(a, [masked_b], share_a, output_mask, R64)
+        first = chain_init(a.entries, [masked_b.entries], share_a, output_mask, R64)
         assert first == 27
         # 27 - trace(7*7) + 24
-        last = chain_step(first, mask_b, [masked_a], share_b, R64)
+        last = chain_step(first, mask_b.entries, [masked_a.entries], share_b, R64)
         assert last == 2
         assert aggregate_final(last, [], output_mask, R64) == 6
 
@@ -178,6 +178,6 @@ class TestTwoPositionChain:
         mask_a, mask_b = vec([1, 2, 3]), vec([4, 5, 6])
         trace = 1 * 4 + 2 * 5 + 3 * 6
         share_a, share_b = 13, R64.reduce(trace - 13)
-        first = chain_init(a, [b.add(mask_b)], share_a, 99, R64)
-        last = chain_step(first, mask_b, [a.add(mask_a)], share_b, R64)
+        first = chain_init(a.entries, [b.add(mask_b).entries], share_a, 99, R64)
+        last = chain_step(first, mask_b.entries, [a.add(mask_a).entries], share_b, R64)
         assert aggregate_final(last, [], 99, R64) == 0

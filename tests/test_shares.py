@@ -73,6 +73,12 @@ class TestShareBundles:
         ids = [x.mask_id for x in a + b]
         assert len(set(ids)) == 6
 
+    def test_bundles_are_immutable(self):
+        bundle = generate_share_bundles(2, 1, R64, Rng(0))[0]
+        for name in ("mask", "share", "mask_id", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(bundle, name, 1)
+
     def test_rejects_tiny_instances(self):
         with pytest.raises(InstanceShapeError):
             generate_share_bundles(1, 1, R64, Rng(0))
@@ -135,3 +141,22 @@ class TestDrawRule:
         draws = [*rng.vector(R64, 10_000), *(rng.element(R64) for _ in range(10_000))]
         for byte in ([d & 0xFF for d in draws], [d >> 56 for d in draws]):
             assert uniformity_pvalue(byte, 256) > 1e-3
+
+
+class TestBatchedMaskDraw:
+    """An instance's m masks come from one draw of m * L entries, which is
+    the same draw as m successive vectors of length L."""
+
+    @pytest.mark.parametrize("m", [2, 6])
+    @pytest.mark.parametrize("length", [1, 16, 2048])
+    @pytest.mark.parametrize("modulus", [1 << 64, 1 << 16, 251])
+    def test_one_draw_equals_successive_draws(self, modulus, length, m):
+        ring = Ring(modulus)
+        seed = modulus % 1000 + length + m
+        batched, single = Rng(seed), Rng(seed)
+        block = batched.vector(ring, m * length).entries
+        masks = [single.vector(ring, length).entries for _ in range(m)]
+        assert block == tuple(itertools.chain.from_iterable(masks))
+        assert batched.element(ring) == single.element(ring)
+        bundles = generate_share_bundles(m, length, ring, Rng(seed))
+        assert [b.mask.entries for b in bundles] == masks

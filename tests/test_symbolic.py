@@ -91,10 +91,11 @@ class TestChainAgainstSymbolicOracle:
         shares.append(R64.reduce(trace_masks - sum(shares)))
         output_mask = r.randrange(R64.modulus)
 
-        u = chain_init(data[0], masked[1:], shares[0], output_mask, R64)
+        entries = [v.entries for v in masked]
+        u = chain_init(data[0].entries, entries[1:], shares[0], output_mask, R64)
         for i in range(2, n + 1):
-            others = [masked[x - 1] for x in range(1, n + 1) if x != i]
-            u = chain_step(u, masks[i - 1], others, shares[i - 1], R64)
+            others = [entries[x - 1] for x in range(1, n + 1) if x != i]
+            u = chain_step(u, masks[i - 1].entries, others, shares[i - 1], R64)
 
         coeffs = chain_residual_coefficients(n)
         expected = evaluate_coefficients(coeffs, data, masks, R64)
