@@ -32,7 +32,6 @@ from .errors import (
 from .parties import PartyId
 from .protocol import (
     Policy,
-    ProtocolEngine,
     RunResult,
     aggregate_final,
     assign_ttp,
@@ -65,7 +64,6 @@ __all__ = [
     "Network",
     "PartyId",
     "Policy",
-    "ProtocolEngine",
     "ProtocolStateError",
     "Ring",
     "Rng",

@@ -329,40 +329,37 @@ class InstanceCensus:
 
 
 @lru_cache(maxsize=None)
-def _total_instances(m: int) -> int:
-    return 1 + sum(
-        math.comb(m, t) * _total_instances(t + 1) for t in range(1, m - 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _inner_messages(m: int) -> int:
-    # shares + masked broadcasts + chain values (+ 1 report per child)
-    own = m + m * (m - 1) + m
-    return own + sum(
-        math.comb(m, t) * (_inner_messages(t + 1) + 1) for t in range(1, m - 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _per_depth(m: int) -> tuple:
-    acc: dict[int, int] = {0: 1}
-    for t in range(1, m - 1):
-        for d, c in enumerate(_per_depth(t + 1)):
-            acc[d + 1] = acc.get(d + 1, 0) + math.comb(m, t) * c
-    return tuple(acc[d] for d in range(max(acc) + 1))
+def _levels(m: int) -> tuple:
+    """The instances of an m-position run, one {size: count} map per depth:
+    an s-position instance spawns comb(s, t) children of t + 1 positions
+    for each t in 1..s-2."""
+    levels = [{m: 1}]
+    while True:
+        below: dict[int, int] = {}
+        for s, c in levels[-1].items():
+            for t in range(1, s - 1):
+                below[t + 1] = below.get(t + 1, 0) + math.comb(s, t) * c
+        if not below:
+            return tuple(levels)
+        levels.append(below)
 
 
 def count_instances(n: int) -> InstanceCensus:
     """Closed-form census of one run: counts by enumeration, no arithmetic."""
     if n < 2:
         raise InstanceShapeError("census needs at least 2 parties")
+    levels = _levels(n)
+    per_depth = tuple(sum(level.values()) for level in levels)
+    total = sum(per_depth)
+    # an s-position instance sends s shares, s(s-1) masked vectors and s
+    # chain values; every child reports once and the top publishes n finals
+    own = sum(c * s * (s + 1) for level in levels for s, c in level.items())
     return InstanceCensus(
         n=n,
         direct_children=(1 << n) - n - 2,
-        total_instances=_total_instances(n),
-        messages=_inner_messages(n) + n,
-        per_depth=_per_depth(n),
+        total_instances=total,
+        messages=own + (total - 1) + n,
+        per_depth=per_depth,
     )
 
 

@@ -42,8 +42,12 @@ class PartyId(NamedTuple):
 
     @classmethod
     def from_str(cls, text: str) -> "PartyId":
+        """The id whose `str()` is `text`; any other text, such as "p01",
+        "p0" or non-ASCII digits, names no party."""
         if text.startswith("ttp:"):
             return cls.ttp(text[4:])
-        if text.startswith("p") and text[1:].isdigit():
-            return cls.data(int(text[1:]))
+        if text.startswith("p") and text[1:].isdecimal():
+            party = cls("data", int(text[1:]))
+            if party.index >= 1 and str(party) == text:
+                return party
         raise RoutingError(f"not a party id: {text!r}")

@@ -39,9 +39,9 @@ Messages of different positions or stages may therefore arrive in any
 order the causal chain allows.
 
 Instances run depth first over sibling groups. `start` sends an
-instance's shares and spawns its children in plan order, each registered
-as pending with its parent; the children wait as one group. The run
-delivers until the bus is idle, then starts every member of the newest
+instance's shares and spawns its children in plan order, and they wait as
+one group; the parent records each child's report by the child's id. The
+run delivers until the bus is idle, then starts every member of the newest
 waiting group, and ends once the bus is idle and no group waits. Siblings
 start together, so their messages stay batched by kind in the FIFO. Every
 child is causally enabled when its parent starts, so this is a legal
@@ -79,7 +79,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (
     InputShapeError,
@@ -181,7 +181,7 @@ def chain_step(
 
 def aggregate_final(
     chain_last: int,
-    sub_results: Sequence[tuple[int, int]],
+    sub_results: Iterable[tuple[int, int]],
     output_mask: int,
     ring: Ring,
 ) -> int:
@@ -233,8 +233,8 @@ class _Position:
         self.waiting = 0
 
 
-# the empty collections shared by every instance that spawns no children
-# or publishes no result; never mutated
+# the empty set shared by every instance that publishes no result, and the
+# empty range of every instance that spawns no children; never mutated
 _EMPTY: frozenset = frozenset()
 _NO_CHILDREN = range(0)
 
@@ -249,7 +249,6 @@ class ProtocolInstance:
         "ttp",
         "depth",
         "children",
-        "pending_subs",
         "sub_results",
         "result",
         "final_delivered",
@@ -264,11 +263,11 @@ class ProtocolInstance:
         self.ttp = ttp
         self.parent_id = parent_id
         self.depth = depth
-        # the children's instance ids, consecutive and in plan order, and
-        # those still to report; `start` sets both for a parent
+        # the children's instance ids, consecutive and in plan order, which
+        # `start` sets for a parent, and child id -> (coefficient, value) of
+        # each that reported
         self.children: range = _NO_CHILDREN
-        self.pending_subs: set[int] | frozenset[int] = _EMPTY
-        self.sub_results: list[tuple[int, int]] = []  # (coefficient, value)
+        self.sub_results: dict[int, tuple[int, int]] = {}
         self.result: Optional[int] = None
         # positions that got the published result; only the top instance
         # publishes, so the others keep one shared empty set
@@ -354,13 +353,9 @@ class ProtocolEngine:
         The children's collapsed mask products are built here, so the
         bundles die with this call; the children themselves start later,
         as one sibling group."""
-        m, length, ttp = inst.m, inst.length, inst.ttp
-        if m < 2:
-            raise InstanceShapeError("instances need at least 2 positions")
+        m, ttp = inst.m, inst.ttp
         secure = self.policy is _SECURE
         for pos in inst.positions:
-            if len(pos.vector.entries) != length:
-                raise InputShapeError("instance vectors must share one length")
             if secure and pos.owner == ttp:
                 raise TtpAssignmentError(
                     f"{ttp} cannot generate shares for an instance it joins"
@@ -369,7 +364,7 @@ class ProtocolEngine:
             pos.waiting = m + 1
         inst.positions[0].waiting = m  # position 1 opens the chain
         bundles = generate_share_bundles(
-            m, length, self.ring, self.rng, ids=self.mask_ids
+            m, inst.length, self.ring, self.rng, ids=self.mask_ids
         )
         send, iid = self.net.send, inst.instance_id
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
@@ -388,7 +383,6 @@ class ProtocolEngine:
         if children:
             first = children[0].instance_id
             inst.children = range(first, first + len(children))
-            inst.pending_subs = set(inst.children)
             self.unstarted.append(children)
 
     def spawn_sub_instance(
@@ -546,12 +540,11 @@ class ProtocolEngine:
             raise _rejected(inst.instance_id, msg.kind, to_pos, problem)
         _receiver(inst, msg)
         child = _integer(inst, msg, "child")
-        if child not in inst.pending_subs:
-            # every child is pending from its parent's start until it reports
-            if child in inst.children:
-                problem = f"duplicate from child {child}"
-            else:
-                problem = f"unexpected child {child}"
+        if child not in inst.children:
+            problem = f"unexpected child {child}"
+            raise _rejected(inst.instance_id, msg.kind, 1, problem)
+        if child in inst.sub_results:
+            problem = f"duplicate from child {child}"
             raise _rejected(inst.instance_id, msg.kind, 1, problem)
         plan = enumerate_sub_instances(inst.m)
         kept, _, coefficient = plan[child - inst.children.start]
@@ -562,16 +555,15 @@ class ProtocolEngine:
             raise _rejected(
                 inst.instance_id, msg.kind, 1, f"child {child} has not reported"
             )
-        inst.pending_subs.remove(child)
-        inst.sub_results.append((coefficient, _integer(inst, msg, "value")))
+        inst.sub_results[child] = (coefficient, _integer(inst, msg, "value"))
         self._maybe_finalize(inst)
 
     def _maybe_finalize(self, inst: ProtocolInstance) -> None:
         first = inst.positions[0]
-        if first.chain_prev is None or inst.pending_subs:
+        if first.chain_prev is None or len(inst.sub_results) < len(inst.children):
             return
         inst.result = aggregate_final(
-            first.chain_prev, inst.sub_results, first.output_mask, self.ring
+            first.chain_prev, inst.sub_results.values(), first.output_mask, self.ring
         )
         self._publish(inst)
 
@@ -632,7 +624,8 @@ class RunResult:
     data_parties: tuple[PartyId, ...]
     ttp: PartyId
     net: Network
-    engine: ProtocolEngine
+    # instances spawned per depth, the top instance at depth 0
+    per_depth: tuple[int, ...]
 
     @property
     def transcript(self):
@@ -640,14 +633,14 @@ class RunResult:
 
     @property
     def instance_count(self) -> int:
-        return sum(self.engine.per_depth)
+        return sum(self.per_depth)
 
     @property
     def message_count(self) -> int:
         return len(self.net.transcript)
 
     def per_depth_counts(self) -> list[int]:
-        return list(self.engine.per_depth)
+        return list(self.per_depth)
 
     def view_of(self, party: PartyId) -> View:
         return self.net.view_of(party, self.ring)
@@ -672,7 +665,8 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
     for j in (*range(2, inst.m + 1), 1):
         if inst.positions[j - 1].chain_prev is None:
             return _rejected(iid, _CHAIN, j, "missing")
-    problem = f"missing from child {min(inst.pending_subs)}"
+    missing = next(c for c in inst.children if c not in inst.sub_results)
+    problem = f"missing from child {missing}"
     return _rejected(iid, _SUB, 1, problem)
 
 
@@ -745,5 +739,5 @@ def run_protocol(
         data_parties=data_parties,
         ttp=ttp,
         net=net,
-        engine=engine,
+        per_depth=tuple(engine.per_depth),
     )

@@ -253,6 +253,20 @@ class TestCensus:
             census = count_instances(n)
             assert sum(census.per_depth) == census.total_instances
 
+    @pytest.mark.parametrize(
+        "n,messages,per_depth",
+        [
+            (7, 1_156_036, (1, 119, 2464, 18200, 54810, 56700)),
+            (8, 35_372_536, (1, 246, 8862, 113820, 651560, 1685880, 1587600)),
+        ],
+    )
+    def test_past_the_executed_sizes(self, n, messages, per_depth):
+        """No run checks the census past n = 6, so its message count and
+        instances per depth are pinned."""
+        census = count_instances(n)
+        assert census.messages == messages
+        assert census.per_depth == per_depth
+
     def test_exponential_growth(self):
         totals = [count_instances(n).total_instances for n in range(3, 11)]
         ratios = [b / a for a, b in zip(totals, totals[1:])]

@@ -3,7 +3,9 @@ import pickle
 import subprocess
 import sys
 
-from npscalar import PartyId
+import pytest
+
+from npscalar import PartyId, RoutingError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -82,3 +84,22 @@ class TestHash:
         )
         assert out.split() == [b"True", b"ttp", b"p2", b"True"]
 
+
+class TestFromStr:
+    @pytest.mark.parametrize(
+        "text",
+        ["p01", "p\u0661", "p0", "p\u00b2", "p", "p-1", "p 1"],
+        ids=["leading-zero", "arabic-indic-digit", "zero", "superscript", "bare",
+             "negative", "space"],
+    )
+    def test_rejects_text_that_str_never_writes(self, text):
+        """Only the string an id's `str()` writes parses, so an imported
+        transcript can neither rename a party nor fail with a bare
+        ValueError."""
+        with pytest.raises(RoutingError, match="^not a party id: "):
+            PartyId.from_str(text)
+
+    def test_round_trips_what_str_writes(self):
+        for party in (PartyId.data(1), PartyId.data(10), PartyId.ttp(""),
+                      PartyId.ttp("p01"), PartyId.ttp("caf\u00e9")):
+            assert PartyId.from_str(str(party)) == party

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from npscalar import (
     Policy,
     ProtocolStateError,
     Ring,
+    TtpAssignmentError,
     count_instances,
     enumerate_sub_instances,
     mixed_term,
@@ -220,6 +222,16 @@ class TestValidation:
         with pytest.raises(InputShapeError):
             run_protocol([(1, 2), (1, 2, 3)])
 
+    def test_secure_ttp_never_joins_its_instance(self, monkeypatch):
+        """A SECURE sub-instance whose TTP also holds one of its positions
+        is refused when it starts, before any share is sent."""
+        monkeypatch.setattr(
+            npscalar.protocol, "assign_ttp", lambda owners, *_: owners[0]
+        )
+        message = "^p1 cannot generate shares for an instance it joins$"
+        with pytest.raises(TtpAssignmentError, match=message):
+            run_protocol([(1, 2), (3, 4), (5, 6)], seed=7)
+
     def test_transcript_ends_with_final_results(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=7)
         tail = list(run.transcript)[-3:]
@@ -382,6 +394,20 @@ class PeakNetwork(Network):
         return msg
 
 
+def _record_engines(monkeypatch, keep):
+    """Have `run_protocol` build engines of a subclass that records each
+    one: itself if `keep`, else a weak reference to it."""
+    engines = []
+
+    class RecordingEngine(npscalar.protocol.ProtocolEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self if keep else weakref.ref(self))
+
+    monkeypatch.setattr(npscalar.protocol, "ProtocolEngine", RecordingEngine)
+    return engines
+
+
 class TestBoundedSchedule:
     """Sub-instances start one sibling group at a time, the newest group
     first, once the bus is idle; each leaves the engine once it reports."""
@@ -402,11 +428,22 @@ class TestBoundedSchedule:
         assert run.message_count == count_instances(6).messages
         assert 0 < nets[0].peak <= 1000
 
-    def test_only_the_top_instance_is_retained(self):
+    def test_only_the_top_instance_is_retained(self, monkeypatch):
+        engines = _record_engines(monkeypatch, keep=True)
         for n in (2, 3, 4, 5):
             run = run_protocol(random_vectors(n, 2, n), seed=n)
-            assert list(run.engine.instances) == [0]
-            assert run.engine.instances[0].result == run.result
+            engine = engines.pop()
+            assert list(engine.instances) == [0]
+            assert engine.instances[0].result == run.result
+
+    def test_run_retains_no_engine(self, monkeypatch):
+        """The result carries the census it reports, so the engine, its
+        instance table, TTP memo and RNG are freed once the run returns."""
+        engines = _record_engines(monkeypatch, keep=False)
+        run = run_protocol(random_vectors(4, 2, 4), seed=4)
+        assert run.per_depth_counts() == [1, 10, 18]
+        assert len(engines) == 1
+        assert engines[0]() is None
 
     def test_duplicate_to_released_sub_instance(self, monkeypatch):
         """Every child at n = 3 has two positions and no children, so its

@@ -225,6 +225,17 @@ class TestExportEncoder:
             transcript.append(msg)
         assert transcript.export_jsonl() == _stdlib_export(transcript)
 
+    @settings(max_examples=60, deadline=None)
+    @given(messages=st.lists(_messages(), min_size=1, max_size=4))
+    def test_import_then_export_is_identity(self, messages):
+        """Reading an exported text back and exporting it again gives the
+        same text: every party id is read back as the id that wrote it."""
+        transcript = Transcript()
+        for msg in messages:
+            transcript.append(msg)
+        text = transcript.export_jsonl()
+        assert Transcript.from_jsonl(text).export_jsonl() == text
+
 
 class TestViews:
     def test_ttp_receives_nothing_at_top_level(self):
