@@ -34,7 +34,7 @@ for policy in (Policy.FLAWED, Policy.SECURE):
             )
     else:
         print("TTP recovered nothing.")
-    atoms = knowledge_closure(view).atoms
+    atoms = knowledge_closure(view)
     learned = sorted(a for a in atoms if a.startswith("input:"))
     print("inputs in the TTP's knowledge closure:", learned or "none")
     if policy is Policy.SECURE:

@@ -6,7 +6,6 @@ semi-honest reconstruction attack, and an instance census.
 
 from .analysis import (
     InstanceCensus,
-    KnowledgeSet,
     chain_residual_coefficients,
     count_instances,
     forced_guess_inputs,
@@ -57,7 +56,6 @@ __all__ = [
     "InputShapeError",
     "InstanceCensus",
     "InstanceShapeError",
-    "KnowledgeSet",
     "Message",
     "MessageKind",
     "ModVector",

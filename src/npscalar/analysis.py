@@ -137,20 +137,13 @@ def evaluate_coefficients(
 # knowledge closure and the reconstruction attack
 
 
-@dataclass
-class KnowledgeSet:
-    """Identifiers a party holds or can derive from its view."""
-
-    party: PartyId
-    atoms: set
-
-
 def _input_atom(party: str) -> str:
     return f"input:{party}"
 
 
-def knowledge_closure(view: View) -> KnowledgeSet:
-    """Fixpoint of the syntactic derivation rule over one party's view.
+def knowledge_closure(view: View) -> set[str]:
+    """Fixpoint of the syntactic derivation rule over one party's view: the
+    set of atoms the party holds or can derive.
 
     Seed atoms: own inputs and the masks of every share distribution the
     party sent or received. A masked vector reveals its subject iff the
@@ -176,7 +169,7 @@ def knowledge_closure(view: View) -> KnowledgeSet:
         elif masks.issuperset(subject["masks"]):
             atoms.add("prod:" + ",".join(map(str, sorted(subject["masks"]))))
     atoms.update(map("mask:{}".format, masks))
-    return KnowledgeSet(party=view.party, atoms=atoms)
+    return atoms
 
 
 def _known_mask_values(view: View) -> dict:

@@ -7,60 +7,37 @@ Commands and the flags each takes:
 - oracle: --config, --modulus
 - count: --min, --max
 
-A command reads the environment variable of a setting it takes:
-NPSCALAR_CONFIG, NPSCALAR_MODULUS, NPSCALAR_SEED, NPSCALAR_POLICY and
-NPSCALAR_TRANSCRIPT. --verify, --min and --max have none. Explicit flags
-win over the environment, which wins over the config file.
+--modulus, --seed and --policy override the config keys of the same name.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import analysis
 from .config import RunConfig, parse_config, parse_modulus
-from .errors import ConfigError, ScalarProtocolError
+from .errors import ScalarProtocolError
 from .parties import PartyId
 from .protocol import Policy, run_protocol
 from .ring import Ring
 
-ENV_PREFIX = "NPSCALAR_"
-
-
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
 
 def _load_config(args) -> RunConfig:
-    path = args.config or _env("config")
-    if not path:
+    if not args.config:
         raise ScalarProtocolError("a config file is required (--config PATH)")
-    cfg = parse_config(Path(path).read_text())
-    # a command without --seed or --policy ignores its variable; argparse
-    # checks the flags, so a bad value is the variable's
-    if "seed" in args:
-        seed = args.seed if args.seed is not None else _env("seed")
-        if seed is not None:
-            try:
-                cfg.seed = int(seed)
-            except ValueError:
-                problem = f"{ENV_PREFIX}SEED must be an integer: {seed!r}"
-                raise ConfigError(problem) from None
-    if "policy" in args:
-        policy = args.policy or _env("policy")
-        if policy:
-            try:
-                cfg.policy = Policy(policy.lower())
-            except ValueError:
-                problem = f"{ENV_PREFIX}POLICY: unknown policy {policy!r}"
-                raise ConfigError(problem) from None
-    modulus = args.modulus or _env("modulus")
-    if modulus:
-        cfg.modulus = parse_modulus(modulus)
+    cfg = parse_config(Path(args.config).read_text())
+    # a command without --seed or --policy has no such attribute
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        cfg.seed = seed
+    policy = getattr(args, "policy", None)
+    if policy:
+        cfg.policy = Policy(policy)
+    if args.modulus:
+        cfg.modulus = parse_modulus(args.modulus)
     return cfg
 
 
@@ -71,7 +48,6 @@ def _emit(lines) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    transcript = args.transcript or _env("transcript")
     start = time.perf_counter()
     run = run_protocol(
         cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
@@ -93,9 +69,9 @@ def cmd_run(args) -> int:
         lines += [f"oracle: {oracle}", f"oracle-match: {str(match).lower()}"]
         status = 0 if match else 1
     lines.append(f"elapsed-ms: {elapsed_ms:.1f}")
-    if transcript:
-        Path(transcript).write_text(run.transcript.export_jsonl() + "\n")
-        lines.append(f"transcript: {transcript}")
+    if args.transcript:
+        Path(args.transcript).write_text(run.transcript.export_jsonl() + "\n")
+        lines.append(f"transcript: {args.transcript}")
     _emit(lines)
     return status
 
@@ -111,9 +87,9 @@ def cmd_attack_demo(args) -> int:
         )
         return 0
     lines = []
-    name_of = {f"p{i + 1}": name for i, name in enumerate(cfg.names)}
-    truth = {f"p{i + 1}": vec for i, vec in enumerate(cfg.vectors)}
-    outcomes = {}
+    parties = [PartyId.data(i + 1) for i in range(len(cfg.parties))]
+    name_of = dict(zip(parties, cfg.names))
+    truth = dict(zip(parties, cfg.vectors))
     for policy in (Policy.FLAWED, Policy.SECURE):
         run = run_protocol(
             cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=policy
@@ -123,29 +99,23 @@ def cmd_attack_demo(args) -> int:
         lines.append(f"policy {policy.value}:")
         if recovered:
             for party in sorted(recovered):
-                exact = recovered[party] == truth[str(party)]
+                exact = recovered[party] == truth[party]
                 lines.append(
-                    f"  recovered {name_of[str(party)]}: {list(recovered[party])}"
+                    f"  recovered {name_of[party]}: {list(recovered[party])}"
                     f" exact={str(exact).lower()}"
                 )
         else:
             lines.append("  recovered: none")
         if policy is Policy.SECURE:
             guesses = analysis.forced_guess_inputs(view)
-            mismatches = sum(
-                1 for p, g in guesses.items() if g != truth[str(p)]
-            )
+            mismatches = sum(g != truth[p] for p, g in guesses.items())
             lines.append(
                 f"  forced-guess mismatches: {mismatches}/{len(guesses)}"
             )
-            outcomes["secure_empty"] = not recovered
-            outcomes["guesses_wrong"] = mismatches == len(guesses) > 0
+            secure_holds = not recovered and mismatches == len(guesses) > 0
         else:
-            outcomes["flawed_full"] = all(
-                recovered.get(p) == truth[str(p)]
-                for p in (PartyId.data(i + 1) for i in range(len(cfg.parties)))
-            )
-    dichotomy = all(outcomes.values())
+            flawed_full = recovered == truth
+    dichotomy = flawed_full and secure_holds
     lines.append(f"dichotomy: {str(dichotomy).lower()}")
     _emit(lines)
     return 0 if dichotomy else 1

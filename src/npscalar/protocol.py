@@ -259,7 +259,7 @@ class ProtocolInstance:
         self.positions: list[_Position] = positions
         # the instance's size and vector length, for every message's checks
         self.m = len(positions)
-        self.length = len(positions[0].vector.entries) if positions else 0
+        self.length = len(positions[0].vector.entries)
         self.ttp = ttp
         self.parent_id = parent_id
         self.depth = depth
@@ -333,8 +333,8 @@ class ProtocolEngine:
         self.unstarted: list[list[ProtocolInstance]] = []
         self._ids = itertools.count()
         self.mask_ids = itertools.count()
-        # (participants, parent TTP) -> TTP; exact, as the policy and the
-        # pool are fixed for the run
+        # participants -> TTP; the last participant is the parent's TTP,
+        # and the policy and the pool are fixed for the run, so it is exact
         self._ttps: dict[tuple, PartyId] = {}
 
     # -- construction ------------------------------------------------------
@@ -414,11 +414,10 @@ class ProtocolEngine:
         }
         positions.append(_Position(parent.ttp, collapsed, subject))
         owners = tuple(p.owner for p in positions)
-        key = (owners, parent.ttp)
-        ttp = self._ttps.get(key)
+        ttp = self._ttps.get(owners)
         if ttp is None:
             ttp = assign_ttp(owners, self.policy, parent.ttp, self.pool)
-            self._ttps[key] = ttp
+            self._ttps[owners] = ttp
         return self.new_instance(
             positions, ttp, parent_id=parent.instance_id, depth=parent.depth + 1
         )

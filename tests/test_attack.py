@@ -145,14 +145,14 @@ class TestOfflineAudit:
             live = run.view_of(party)
             sent, received = imported.messages_of(party)
             offline = View(party, run.ring, live.own_inputs, sent, received)
-            assert knowledge_closure(offline).atoms == knowledge_closure(live).atoms
+            assert knowledge_closure(offline) == knowledge_closure(live)
             assert reconstruct_inputs(offline) == reconstruct_inputs(live)
 
 
 class TestKnowledgeClosure:
     def test_secure_ttp_knows_masks_not_inputs(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2, policy=Policy.SECURE)
-        atoms = knowledge_closure(run.view_of(run.ttp)).atoms
+        atoms = knowledge_closure(run.view_of(run.ttp))
         top_ids = [
             m.meta["mask_id"]
             for m in run.transcript
@@ -164,7 +164,7 @@ class TestKnowledgeClosure:
 
     def test_flawed_ttp_learns_inputs(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=2, policy=Policy.FLAWED)
-        atoms = knowledge_closure(run.view_of(run.ttp)).atoms
+        atoms = knowledge_closure(run.view_of(run.ttp))
         assert {"input:p1", "input:p2", "input:p3"} <= atoms
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -172,7 +172,7 @@ class TestKnowledgeClosure:
         for seed in range(100):
             run = run_protocol(random_vectors(3, 1, seed), seed=seed, policy=policy)
             for party in run.data_parties:
-                atoms = knowledge_closure(run.view_of(party)).atoms
+                atoms = knowledge_closure(run.view_of(party))
                 inputs = {a for a in atoms if a.startswith("input:")}
                 assert inputs == {f"input:{party}"}
 
@@ -191,7 +191,7 @@ class TestKnowledgeClosure:
             sent_messages=[_share(seq, HOLDER, seq + 1) for seq in range(3)],
             received_messages=[masked],
         )
-        atoms = knowledge_closure(view).atoms
+        atoms = knowledge_closure(view)
         assert atoms >= {"mask:1", "mask:2", "mask:3"}
         product = "prod:" + ",".join(map(str, factors))
         assert (product in atoms) == derived

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 import textwrap
@@ -108,38 +109,32 @@ class TestCliCommands:
         assert len(lines) == 36
         assert lines[0].startswith('{"from"')
 
-    def test_env_override(self, config_path, capsys, monkeypatch):
-        monkeypatch.setenv("NPSCALAR_CONFIG", config_path)
-        status = main(["run", "--verify"])
-        assert status == 0
-        assert "result: 63" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "variable,value", [("NPSCALAR_POLICY", "sneaky"), ("NPSCALAR_SEED", "abc")]
-    )
-    def test_bad_env_value_is_error(
-        self, variable, value, config_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv(variable, value)
-        status = main(["run", "--config", config_path])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert variable in err and repr(value) in err
-
     @pytest.mark.parametrize("command", ["run", "attack-demo", "oracle"])
-    def test_seed_variable_read_only_where_taken(
-        self, command, config_path, capsys, monkeypatch
+    def test_environment_sets_nothing(
+        self, command, config_path, tmp_path, capsys, monkeypatch
     ):
-        """A command that takes no seed ignores NPSCALAR_SEED."""
-        monkeypatch.setenv("NPSCALAR_SEED", "abc")
-        status = main([command, "--config", config_path])
-        err = capsys.readouterr().err
-        if command == "oracle":
-            assert (status, err) == (0, "")
-        else:
-            assert status == 2
-            assert err == "error: NPSCALAR_SEED must be an integer: 'abc'\n"
+        """Settings come from flags and the config file alone: variables
+        that once overrode them change no output and no exit status."""
+        argv = [command, "--config", config_path]
+        if command == "run":
+            argv.append("--verify")
+
+        def outcome():
+            status = main(argv)
+            out, err = capsys.readouterr()
+            return re.sub(r"elapsed-ms: .*\n", "", out), err, status
+
+        clean = outcome()
+        for name, value in {
+            "CONFIG": str(tmp_path / "missing.yaml"),
+            "MODULUS": "251",
+            "SEED": "abc",
+            "POLICY": "sneaky",
+            "TRANSCRIPT": str(tmp_path / "missing" / "t.jsonl"),
+        }.items():
+            monkeypatch.setenv("NPSCALAR_" + name, value)
+        assert outcome() == clean
+        assert clean[2] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -185,17 +180,12 @@ class TestCliCommands:
         assert "result:" not in out
         assert err == "error: party 'b' has a non-integer entry\n"
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_modulus_override_reduces_written_entries(
-        self, via, tmp_path, capsys, monkeypatch
-    ):
+    def test_modulus_override_reduces_written_entries(self, tmp_path, capsys):
         """An overriding modulus reduces the entries as written: -1 is 250
         mod 251, not 2^64 - 1 reduced a second time."""
         path = tmp_path / "negative.yaml"
         path.write_text("parties:\n  a: [-1, 2]\n  b: [3, 4]\n")
-        flags = ["--modulus", "251"] if via == "flag" else []
-        if via == "env":
-            monkeypatch.setenv("NPSCALAR_MODULUS", "251")
+        flags = ["--modulus", "251"]
         assert main(["oracle", "--config", str(path), *flags]) == 0
         assert main(["run", "--config", str(path), "--verify", *flags]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -245,3 +235,29 @@ def test_readme_commands_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_parser():
+    """The README's CLI table lists each command's flags as the parser
+    declares them."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"\n## CLI\n(.*?)\n## ", readme, re.S).group(1)
+    rows = re.findall(r"^\| `([\w-]+)` +\|(.*)\|$", section, re.M)
+    documented = {
+        command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows
+    }
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        command: [
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        ]
+        for command, sub in commands.items()
+    }
+    assert documented == declared
