@@ -180,12 +180,33 @@ class TestCliCommands:
         assert "result:" not in out
         assert err == "error: party 'b' has a non-integer entry\n"
 
-    def test_modulus_override_reduces_written_entries(self, tmp_path, capsys):
-        """An overriding modulus reduces the entries as written: -1 is 250
-        mod 251, not 2^64 - 1 reduced a second time."""
+    @pytest.mark.parametrize(
+        "flag,key,shown",
+        [
+            ("--seed=3", "seed: 7", "seed: 3"),
+            ("--policy=flawed", "policy: secure", "policy: flawed"),
+            ("--modulus=251", "modulus: 18446744073709551616", "modulus: 251"),
+        ],
+        ids=["seed", "policy", "modulus"],
+    )
+    def test_flag_wins_over_config_key(self, flag, key, shown, config_path, capsys):
+        """Without its flag a run uses the config key; with it, the flag."""
+        assert main(["run", "--config", config_path, "--verify"]) == 0
+        assert key in capsys.readouterr().out.splitlines()
+        assert main(["run", "--config", config_path, "--verify", flag]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert shown in lines and key not in lines
+        assert "oracle-match: true" in lines
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_modulus_override_reduces_written_entries(self, via, tmp_path, capsys):
+        """A modulus reduces the entries as written: -1 is 250 mod 251, not
+        2^64 - 1 reduced a second time, whether it overrides the default by
+        flag or by config key."""
         path = tmp_path / "negative.yaml"
-        path.write_text("parties:\n  a: [-1, 2]\n  b: [3, 4]\n")
-        flags = ["--modulus", "251"]
+        key = "modulus: 251\n" if via == "config" else ""
+        path.write_text(f"{key}parties:\n  a: [-1, 2]\n  b: [3, 4]\n")
+        flags = ["--modulus", "251"] if via == "flag" else []
         assert main(["oracle", "--config", str(path), *flags]) == 0
         assert main(["run", "--config", str(path), "--verify", *flags]) == 0
         out = capsys.readouterr().out.splitlines()
