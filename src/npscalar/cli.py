@@ -13,22 +13,31 @@ Commands and the flags each takes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from pathlib import Path
 
 from . import analysis
 from .config import RunConfig, parse_config, parse_modulus
-from .errors import ScalarProtocolError
+from .errors import ConfigError, ScalarProtocolError
 from .parties import PartyId
 from .protocol import Policy, run_protocol
 from .ring import Ring
 
 
+def _open(path: str, mode: str):
+    """`path` opened in `mode`; an OSError becomes an error naming the path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 def _load_config(args) -> RunConfig:
     if not args.config:
         raise ScalarProtocolError("a config file is required (--config PATH)")
-    cfg = parse_config(Path(args.config).read_text())
+    with _open(args.config, "r") as f:
+        cfg = parse_config(f.read())
     # a command without --seed or --policy has no such attribute
     seed = getattr(args, "seed", None)
     if seed is not None:
@@ -48,11 +57,16 @@ def _emit(lines) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    start = time.perf_counter()
-    run = run_protocol(
-        cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
-    )
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    # opened before the run, so a bad destination costs no run
+    out = _open(args.transcript, "w") if args.transcript else contextlib.nullcontext()
+    with out:
+        start = time.perf_counter()
+        run = run_protocol(
+            cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
+        )
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        if args.transcript:
+            out.write(run.transcript.export_jsonl() + "\n")
     lines = [
         f"result: {run.result}",
         f"policy: {cfg.policy.value}",
@@ -70,7 +84,6 @@ def cmd_run(args) -> int:
         status = 0 if match else 1
     lines.append(f"elapsed-ms: {elapsed_ms:.1f}")
     if args.transcript:
-        Path(args.transcript).write_text(run.transcript.export_jsonl() + "\n")
         lines.append(f"transcript: {args.transcript}")
     _emit(lines)
     return status
@@ -122,6 +135,8 @@ def cmd_attack_demo(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.min > args.max:
+        raise ScalarProtocolError(f"--min {args.min} exceeds --max {args.max}")
     lines = ["n direct-children total-instances messages"]
     for n in range(args.min, args.max + 1):
         c = analysis.count_instances(n)

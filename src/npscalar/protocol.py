@@ -99,7 +99,6 @@ class Policy(Enum):
 
 
 # Members used per message; a `MessageKind.X` lookup costs ~0.1 µs on 3.11.
-_SECURE = Policy.SECURE
 _SHARE = MessageKind.SHARE_DISTRIBUTION
 _MASKED = MessageKind.MASKED_MATRIX
 _CHAIN = MessageKind.CHAIN_VALUE
@@ -204,7 +203,6 @@ class _Position:
         "subject",
         "mask",
         "share",
-        "mask_id",
         "masked",
         "chain_prev",
         "output_mask",
@@ -215,13 +213,12 @@ class _Position:
         self.owner = owner
         self.vector = vector
         # what the vector is, as its transcript record; shared, never mutated:
-        # {"kind": "input", "party": ...} or {"kind": "prod", "masks": (sorted ids)}
+        # {"kind": "input", "party": ...} or {"kind": "prod", "masks": (ascending ids)}
         self.subject = subject
         # from the share distribution; the mask's entries are None until it
         # arrives
         self.mask: Optional[tuple] = None
         self.share: Optional[int] = None
-        self.mask_id: Optional[int] = None
         # from_pos -> masked vector's entries; None once the chain value is
         # sent, as every other masked vector has arrived by then
         self.masked: Optional[dict[int, tuple]] = {}
@@ -332,7 +329,8 @@ class ProtocolEngine:
         # sibling groups spawned and not yet started, newest last
         self.unstarted: list[list[ProtocolInstance]] = []
         self._ids = itertools.count()
-        self.mask_ids = itertools.count()
+        # the first of the next instance's m consecutive mask ids
+        self.next_mask_id = 0
         # participants -> TTP; the last participant is the parent's TTP,
         # and the policy and the pool are fixed for the run, so it is exact
         self._ttps: dict[tuple, PartyId] = {}
@@ -354,18 +352,15 @@ class ProtocolEngine:
         bundles die with this call; the children themselves start later,
         as one sibling group."""
         m, ttp = inst.m, inst.ttp
-        secure = self.policy is _SECURE
         for pos in inst.positions:
-            if secure and pos.owner == ttp:
-                raise TtpAssignmentError(
-                    f"{ttp} cannot generate shares for an instance it joins"
-                )
             # share, m-1 masked vectors and the previous chain value
             pos.waiting = m + 1
         inst.positions[0].waiting = m  # position 1 opens the chain
-        bundles = generate_share_bundles(
-            m, inst.length, self.ring, self.rng, ids=self.mask_ids
-        )
+        bundles = generate_share_bundles(m, inst.length, self.ring, self.rng)
+        first = self.next_mask_id
+        self.next_mask_id = first + m
+        # one int per id, shared by the share, the broadcast and every subject
+        ids = list(range(first, first + m))
         send, iid = self.net.send, inst.instance_id
         for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
             send(
@@ -374,10 +369,10 @@ class ProtocolEngine:
                 iid,
                 _SHARE,
                 {"to_pos": i, "mask": bundle.mask.entries, "share": bundle.share},
-                {"mask_id": bundle.mask_id},
+                {"mask_id": ids[i - 1]},
             )
         children = [
-            self.spawn_sub_instance(inst, bundles, kept, dropped)
+            self.spawn_sub_instance(inst, bundles, ids, kept, dropped)
             for kept, dropped, _ in enumerate_sub_instances(m)
         ]
         if children:
@@ -389,12 +384,13 @@ class ProtocolEngine:
         self,
         parent: ProtocolInstance,
         bundles: Sequence[ShareBundle],
+        ids: Sequence[int],
         kept: tuple[int, ...],
         dropped: tuple[int, ...],
     ) -> ProtocolInstance:
         """Build the child instance for one entry of the parent's
         sub-instance plan; `bundles` are the ones the parent's TTP
-        generated, in position order.
+        generated and `ids` their mask ids, both in position order.
 
         Kept positions carry their vectors over unchanged; the remaining
         positions' masks collapse into one product vector held by the
@@ -408,15 +404,17 @@ class ProtocolEngine:
         collapsed = bundles[dropped[0] - 1].mask
         for j in dropped[1:]:
             collapsed = collapsed.hadamard(bundles[j - 1].mask)
-        subject = {
-            "kind": "prod",
-            "masks": tuple(sorted(bundles[j - 1].mask_id for j in dropped)),
-        }
+        # `dropped` and the ids ascend, so the subject's ids do too
+        subject = {"kind": "prod", "masks": tuple(ids[j - 1] for j in dropped)}
         positions.append(_Position(parent.ttp, collapsed, subject))
         owners = tuple(p.owner for p in positions)
         ttp = self._ttps.get(owners)
         if ttp is None:
             ttp = assign_ttp(owners, self.policy, parent.ttp, self.pool)
+            if self.policy is Policy.SECURE and ttp in owners:
+                raise TtpAssignmentError(
+                    f"{ttp} cannot generate shares for an instance it joins"
+                )
             self._ttps[owners] = ttp
         return self.new_instance(
             positions, ttp, parent_id=parent.instance_id, depth=parent.depth + 1
@@ -445,17 +443,18 @@ class ProtocolEngine:
             raise _rejected(inst.instance_id, msg.kind, i, problem)
         pos.share = _integer(inst, msg, "share")
         pos.mask = mask
-        pos.mask_id = msg.meta["mask_id"]
-        self._send_masked(inst, i, pos)
+        self._send_masked(inst, i, pos, msg.meta["mask_id"])
         pos.waiting -= 1
         if not pos.waiting:
             self._chain(inst, i, pos)
 
-    def _send_masked(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
-        """Broadcast position i's masked vector to every other position;
-        all recipients share one immutable entries tuple."""
+    def _send_masked(
+        self, inst: ProtocolInstance, i: int, pos: _Position, mask_id: int
+    ) -> None:
+        """Broadcast position i's masked vector, with its mask's id, to every
+        other position; all recipients share one immutable entries tuple."""
         values = _add(pos.vector.entries, pos.mask, self.ring)
-        meta = {"mask_id": pos.mask_id, "subject": pos.subject}
+        meta = {"mask_id": mask_id, "subject": pos.subject}
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:

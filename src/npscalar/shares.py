@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import InstanceShapeError
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
@@ -55,12 +55,11 @@ class ShareBundle(NamedTuple):
 
     Across one instance's bundles the scalar shares sum to the trace of the
     product of the mask vectors. A bundle is an immutable tuple
-    (mask, share, mask_id).
+    (mask, share).
     """
 
     mask: ModVector
     share: int
-    mask_id: int
 
 
 def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
@@ -73,24 +72,17 @@ def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
 
 
 def generate_share_bundles(
-    n: int,
-    length: int,
-    ring: Ring,
-    rng: Rng,
-    ids: Optional[Iterator[int]] = None,
+    n: int, length: int, ring: Ring, rng: Rng
 ) -> list[ShareBundle]:
     """Fresh correlated randomness for an n-position instance.
 
     Mask vectors are uniform; scalar shares additively split the trace of
-    the product of all masks. Every bundle gets the next mask id from
-    `ids`; one counter per run keeps mask ids unique, so masks are never
-    reused.
+    the product of all masks.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
     if length < 1:
         raise InstanceShapeError("vector length must be >= 1")
-    ids = ids if ids is not None else itertools.count()
     # one draw for all n masks: the same entries as n draws (see `Rng`)
     block = rng.vector(ring, n * length).entries
     masks = [
@@ -98,4 +90,4 @@ def generate_share_bundles(
         for i in range(0, n * length, length)
     ]
     shares = split_value(product_trace(masks, ring), n, ring, rng)
-    return [ShareBundle(mask, share, next(ids)) for mask, share in zip(masks, shares)]
+    return [ShareBundle(mask, share) for mask, share in zip(masks, shares)]

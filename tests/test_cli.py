@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import npscalar.cli
 from npscalar import (
     ConfigError,
     InputShapeError,
@@ -244,6 +245,47 @@ class TestCliCommands:
         status = main(["run"])
         assert status == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,name,reason",
+        [
+            ("run", "missing.yaml", "No such file or directory"),
+            ("oracle", "", "Is a directory"),
+        ],
+        ids=["run-missing-file", "oracle-directory"],
+    )
+    def test_unreadable_config_is_error(self, command, name, reason, tmp_path, capsys):
+        path = tmp_path / name
+        status = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == ""
+        assert err == f"error: cannot open {path}: {reason}\n"
+
+    def test_unwritable_transcript_fails_before_the_run(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return run_protocol(*args, **kwargs)
+
+        run_protocol = npscalar.cli.run_protocol
+        monkeypatch.setattr(npscalar.cli, "run_protocol", counted)
+        dest = tmp_path / "nodir" / "t.jsonl"
+        status = main(["run", "--config", config_path, "--transcript", str(dest)])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == "" and runs == []
+        assert err == f"error: cannot open {dest}: No such file or directory\n"
+
+    def test_count_min_above_max_is_error(self, capsys):
+        status = main(["count", "--min", "5", "--max", "2"])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == ""
+        assert err == "error: --min 5 exceeds --max 2\n"
 
 
 def test_readme_commands_parse():

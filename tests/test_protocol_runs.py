@@ -150,6 +150,46 @@ class TestCompletionAndStructure:
             }
         )
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mask_ids_are_numbered_by_the_engine(self, n, policy):
+        """Share distributions name masks 0, 1, ... in transcript order,
+        each instance's consecutively by position. Every product subject
+        names ascending ids; a child's collapsed position, its last, names
+        masks its parent distributed (a kept position keeps its subject)."""
+        for seed in range(3):
+            run = run_protocol(random_vectors(n, 2, seed), seed=seed, policy=policy)
+            shares = [
+                m for m in run.transcript if m.kind is MessageKind.SHARE_DISTRIBUTION
+            ]
+            assert [m.meta["mask_id"] for m in shares] == list(range(len(shares)))
+            ids = {}  # instance id -> to_pos -> mask id
+            for m in shares:
+                ids.setdefault(m.instance_id, {})[m.payload["to_pos"]] = m.meta[
+                    "mask_id"
+                ]
+            for by_pos in ids.values():
+                m, first = len(by_pos), by_pos[1]
+                assert [by_pos[j] for j in range(1, m + 1)] == list(
+                    range(first, first + m)
+                )
+            parent_of = {p["child"]: parent for parent, p in _sub_results(run)}
+            products = 0
+            for msg in run.transcript:
+                if msg.kind is not MessageKind.MASKED_MATRIX:
+                    continue
+                subject = msg.meta["subject"]
+                if subject["kind"] != "prod":
+                    continue
+                masks = subject["masks"]
+                assert list(masks) == sorted(set(masks))
+                iid = msg.instance_id
+                if msg.payload["from_pos"] == len(ids[iid]):
+                    assert set(masks) <= set(ids[parent_of[iid]].values())
+                    products += 1
+            assert (products > 0) == (n > 2)
+            assert scan_mask_freshness(run.transcript) == []
+
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
         sizes = _sizes(run)
@@ -224,7 +264,7 @@ class TestValidation:
 
     def test_secure_ttp_never_joins_its_instance(self, monkeypatch):
         """A SECURE sub-instance whose TTP also holds one of its positions
-        is refused when it starts, before any share is sent."""
+        is refused when its generator is assigned, before it starts."""
         monkeypatch.setattr(
             npscalar.protocol, "assign_ttp", lambda owners, *_: owners[0]
         )

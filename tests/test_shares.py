@@ -66,16 +66,9 @@ class TestShareBundles:
             (x.mask.entries, x.share) for x in b
         ]
 
-    def test_fresh_ids(self):
-        alloc = itertools.count()
-        a = generate_share_bundles(3, 1, R64, Rng(0), ids=alloc)
-        b = generate_share_bundles(3, 1, R64, Rng(1), ids=alloc)
-        ids = [x.mask_id for x in a + b]
-        assert len(set(ids)) == 6
-
     def test_bundles_are_immutable(self):
         bundle = generate_share_bundles(2, 1, R64, Rng(0))[0]
-        for name in ("mask", "share", "mask_id", "extra"):
+        for name in ("mask", "share", "extra"):
             with pytest.raises(AttributeError):
                 setattr(bundle, name, 1)
 
