@@ -141,6 +141,17 @@ def _input_atom(party: str) -> str:
     return f"input:{party}"
 
 
+def _known_mask_values(view: View) -> dict:
+    """Mask values present in the view: sent by the party or received, each
+    as its payload holds it (a tuple, or a list once read back from an
+    export); the readers only zip it or test its id."""
+    return {
+        msg.meta["mask_id"]: msg.payload["mask"]
+        for msg in (*view.sent_messages, *view.received_messages)
+        if msg.kind is _SHARE
+    }
+
+
 def knowledge_closure(view: View) -> set[str]:
     """Fixpoint of the syntactic derivation rule over one party's view: the
     set of atoms the party holds or can derive.
@@ -153,11 +164,7 @@ def knowledge_closure(view: View) -> set[str]:
     atoms = {_input_atom(rec["party"]) for rec in view.own_inputs}
     # mask ids, not atoms: derivation never adds a mask, so this set is
     # final before the first masked vector is read
-    masks = {
-        msg.meta["mask_id"]
-        for msg in (*view.sent_messages, *view.received_messages)
-        if msg.kind is _SHARE
-    }
+    masks = set(_known_mask_values(view))
     for msg in view.received_messages:
         if msg.kind is not _MASKED:
             continue
@@ -170,17 +177,6 @@ def knowledge_closure(view: View) -> set[str]:
             atoms.add("prod:" + ",".join(map(str, sorted(subject["masks"]))))
     atoms.update(map("mask:{}".format, masks))
     return atoms
-
-
-def _known_mask_values(view: View) -> dict:
-    """Mask values present in the view: sent by the party or received, each
-    as its payload holds it (a tuple, or a list once read back from an
-    export); the readers only zip it or test its id."""
-    return {
-        msg.meta["mask_id"]: msg.payload["mask"]
-        for msg in (*view.sent_messages, *view.received_messages)
-        if msg.kind is _SHARE
-    }
 
 
 def _unmask_inputs(view: View, mask_for) -> dict:

@@ -20,24 +20,38 @@ from .protocol import Policy
 from .ring import DEFAULT_MODULUS
 
 
+# The largest modulus, in bits. Every modulus and every result then prints
+# within CPython's 4,300-digit limit on int-to-text conversion.
+MAX_MODULUS_BITS = 4096
+_TOO_LARGE = f"modulus must have at most {MAX_MODULUS_BITS} bits"
+
+
 def parse_modulus(spec) -> int:
-    """Accept an int, or strings like "2^64", "2**64" or "251"."""
-    if isinstance(spec, int):
-        value = spec
-    elif isinstance(spec, str):
-        text = spec.strip().replace("^", "**")
+    """Accept an int, or strings like "2^64", "2**64" or "251", from 2 up
+    to MAX_MODULUS_BITS bits. A power's base must be at least 2, and a
+    power too large to be a modulus is rejected before it is computed."""
+    if isinstance(spec, str):
+        base, power, exp = spec.strip().replace("^", "**").partition("**")
         try:
-            if "**" in text:
-                base, exp = text.split("**")
-                value = int(base) ** int(exp)
-            else:
-                value = int(text)
+            value, exp = int(base), int(exp) if power else 1
         except ValueError as exc:
             raise ConfigError(f"cannot parse modulus {spec!r}") from exc
+        if power:
+            if value < 2 or exp < 1:
+                raise ConfigError("a modulus power needs base >= 2 and exponent >= 1")
+            # the base's power has more than exp * value.bit_length() / 2
+            # bits, so one that fails this test is too large
+            if exp * value.bit_length() > 2 * MAX_MODULUS_BITS:
+                raise ConfigError(_TOO_LARGE)
+            value **= exp
+    elif isinstance(spec, int):
+        value = spec
     else:
         raise ConfigError(f"cannot parse modulus {spec!r}")
     if value < 2:
         raise ConfigError("modulus must be at least 2")
+    if value.bit_length() > MAX_MODULUS_BITS:
+        raise ConfigError(_TOO_LARGE)
     return value
 
 
@@ -65,7 +79,8 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises ValueError for an int literal over CPython's digit limit
         raise ConfigError(f"malformed config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")

@@ -209,7 +209,7 @@ class _Position:
         "waiting",
     )
 
-    def __init__(self, owner: PartyId, vector: ModVector, subject: dict):
+    def __init__(self, owner: PartyId, vector: tuple, subject: dict):
         self.owner = owner
         self.vector = vector
         # what the vector is, as its transcript record; shared, never mutated:
@@ -256,7 +256,7 @@ class ProtocolInstance:
         self.positions: list[_Position] = positions
         # the instance's size and vector length, for every message's checks
         self.m = len(positions)
-        self.length = len(positions[0].vector.entries)
+        self.length = len(positions[0].vector)
         self.ttp = ttp
         self.parent_id = parent_id
         self.depth = depth
@@ -406,7 +406,7 @@ class ProtocolEngine:
             collapsed = collapsed.hadamard(bundles[j - 1].mask)
         # `dropped` and the ids ascend, so the subject's ids do too
         subject = {"kind": "prod", "masks": tuple(ids[j - 1] for j in dropped)}
-        positions.append(_Position(parent.ttp, collapsed, subject))
+        positions.append(_Position(parent.ttp, collapsed.entries, subject))
         owners = tuple(p.owner for p in positions)
         ttp = self._ttps.get(owners)
         if ttp is None:
@@ -453,7 +453,7 @@ class ProtocolEngine:
     ) -> None:
         """Broadcast position i's masked vector, with its mask's id, to every
         other position; all recipients share one immutable entries tuple."""
-        values = _add(pos.vector.entries, pos.mask, self.ring)
+        values = _add(pos.vector, pos.mask, self.ring)
         meta = {"mask_id": mask_id, "subject": pos.subject}
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
@@ -497,7 +497,7 @@ class ProtocolEngine:
         ring, masked = self.ring, pos.masked.values()
         if i == 1:
             out = pos.output_mask = self.rng.element(ring)
-            value = chain_init(pos.vector.entries, masked, pos.share, out, ring)
+            value = chain_init(pos.vector, masked, pos.share, out, ring)
         else:
             value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
         pos.masked = None
@@ -700,13 +700,10 @@ def run_protocol(
 
     positions = []
     for party, vec in zip(data_parties, vectors):
-        mv = ModVector(vec, ring)
-        positions.append(_Position(party, mv, {"kind": "input", "party": str(party)}))
-        net.record_local(
-            party,
-            "input",
-            {"party": str(party), "values": mv.entries},
-        )
+        entries = ModVector(vec, ring).entries
+        name = str(party)
+        positions.append(_Position(party, entries, {"kind": "input", "party": name}))
+        net.record_local(party, {"kind": "input", "party": name, "values": entries})
     top = engine.new_instance(positions, ttp)
     engine.start(top)
 

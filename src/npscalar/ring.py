@@ -22,11 +22,11 @@ A `ModVector`'s entries are always a non-empty tuple of Python ints in
 entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
 it stores the tuple as given, with no copy, no reduction and no length
 check. Its callers pass a tuple reduced by construction: a kernel's
-result, or a uniform draw below the modulus (`Rng.vector` and the slices
-of one draw that make an instance's masks). Entries are immutable, so such
+result, or a slice of one uniform draw below the modulus (an instance's
+masks, cut from one `Rng.vector` tuple). Entries are immutable, so such
 a tuple can be shared between vectors and message payloads. The private
 kernels `_add` and `_trace` take bare entry tuples of one length, checked
-by their caller; the engine keeps received vectors in that form.
+by their caller; the engine keeps every vector in that form.
 """
 
 from __future__ import annotations

@@ -40,14 +40,14 @@ class Rng:
             return self._r.getrandbits(64)
         return self._r.randrange(ring.modulus)
 
-    def vector(self, ring: Ring, length: int) -> ModVector:
+    def vector(self, ring: Ring, length: int) -> tuple:
+        """A tuple of `length` uniform draws below the modulus."""
         if length < 1:
             raise InstanceShapeError("vector length must be >= 1")
         if ring.modulus == DEFAULT_MODULUS:
             raw = self._r.getrandbits(64 * length).to_bytes(8 * length, "little")
-            return ModVector._reduced(struct.unpack(f"<{length}Q", raw), ring)
-        draws = map(self._r.randrange, itertools.repeat(ring.modulus, length))
-        return ModVector._reduced(tuple(draws), ring)
+            return struct.unpack(f"<{length}Q", raw)
+        return tuple(map(self._r.randrange, itertools.repeat(ring.modulus, length)))
 
 
 class ShareBundle(NamedTuple):
@@ -77,14 +77,12 @@ def generate_share_bundles(
     """Fresh correlated randomness for an n-position instance.
 
     Mask vectors are uniform; scalar shares additively split the trace of
-    the product of all masks.
+    the product of all masks. `Rng.vector` rejects a length below 1.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
-    if length < 1:
-        raise InstanceShapeError("vector length must be >= 1")
     # one draw for all n masks: the same entries as n draws (see `Rng`)
-    block = rng.vector(ring, n * length).entries
+    block = rng.vector(ring, n * length)
     masks = [
         ModVector._reduced(block[i : i + length], ring)
         for i in range(0, n * length, length)

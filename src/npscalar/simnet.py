@@ -21,7 +21,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import RoutingError
 from .parties import PartyId
@@ -84,36 +84,29 @@ class _Memo(dict):
         return value
 
 
-class Transcript:
-    """Append-only, totally ordered log of every delivered message."""
+class Transcript(list):
+    """Totally ordered log of every delivered message: a `list` of
+    `Message`s that the network and `from_jsonl` only append to, as the
+    per-party index assumes."""
 
-    def __init__(self):
-        self._messages: list[Message] = []
+    def __init__(self, messages=()):
+        super().__init__(messages)
         # party -> messages it sent / received, covering the first
         # `_indexed` messages; caught up by `messages_of`, not by `append`
         self._sent: defaultdict[PartyId, list] = defaultdict(list)
         self._received: defaultdict[PartyId, list] = defaultdict(list)
         self._indexed = 0
 
-    def append(self, msg: Message) -> None:
-        self._messages.append(msg)
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
-
     def messages_of(self, party: PartyId) -> tuple[list, list]:
         """Copies of the messages `party` sent and received, in transcript
         order. The per-party index is extended on demand, so a run that takes
         no view never builds it and `append` stays one list append."""
-        if self._indexed != len(self._messages):
+        if self._indexed != len(self):
             sent, received = self._sent, self._received
-            for m in self._messages[self._indexed:]:
+            for m in self[self._indexed:]:
                 sent[m.sender].append(m)
                 received[m.recipient].append(m)
-            self._indexed = len(self._messages)
+            self._indexed = len(self)
         return list(self._sent.get(party, ())), list(self._received.get(party, ()))
 
     def export_jsonl(self) -> str:
@@ -154,7 +147,7 @@ class Transcript:
                 s if type(s := m.seq) is int else encode(s),
                 names[m.recipient],
             )
-            for m in self._messages
+            for m in self
         ])
 
     @classmethod
@@ -162,9 +155,8 @@ class Transcript:
         """The transcript an `export_jsonl()` text records, for auditing
         without re-running. Tuples come back as lists, which the analysis
         reads the same way, so the text exports unchanged."""
-        transcript = cls()
-        for rec in map(json.loads, text.splitlines()):
-            transcript.append(Message(
+        return cls(
+            Message(
                 rec["seq"],
                 PartyId.from_str(rec["from"]),
                 PartyId.from_str(rec["to"]),
@@ -172,8 +164,9 @@ class Transcript:
                 MessageKind(rec["kind"]),
                 rec["payload"],
                 rec["meta"],
-            ))
-        return transcript
+            )
+            for rec in map(json.loads, text.splitlines())
+        )
 
 
 @dataclass
@@ -181,7 +174,6 @@ class View:
     """Everything one party legitimately sees during a run: its own inputs
     and the delivered messages it sent or received, nothing else."""
 
-    party: PartyId
     ring: Ring
     own_inputs: list = field(default_factory=list)
     sent_messages: list = field(default_factory=list)
@@ -231,17 +223,16 @@ class Network:
         self.transcript.append(msg)
         return msg
 
-    def record_local(self, party: PartyId, kind: str, data: dict) -> None:
+    def record_local(self, party: PartyId, record: dict) -> None:
         if party not in self._local:
             raise RoutingError(f"unknown party {party}")
-        self._local[party].append({"kind": kind, **data})
+        self._local[party].append(record)
 
     def view_of(self, party: PartyId, ring: Ring) -> View:
         if party not in self._local:
             raise RoutingError(f"unknown party {party}")
         sent, received = self.transcript.messages_of(party)
         return View(
-            party=party,
             ring=ring,
             own_inputs=list(self._local[party]),
             sent_messages=sent,

@@ -48,13 +48,6 @@ def _masked(seq, recipient, mask_id=0, subject=None, values=()):
     )
 
 
-def _delivered(*messages):
-    transcript = Transcript()
-    for msg in messages:
-        transcript.append(msg)
-    return transcript
-
-
 def random_vectors(n, length, seed):
     r = random.Random(seed)
     return [tuple(r.randrange(1 << 64) for _ in range(length)) for _ in range(n)]
@@ -96,7 +89,6 @@ class TestReconstruction:
             1, TTP, mask_id, {"kind": "input", "party": str(HOLDER)}, (15, 16)
         )
         view = View(
-            party=TTP,
             ring=Ring(),
             sent_messages=[_share(0, HOLDER, 1, (5, 6))],
             received_messages=[masked],
@@ -115,13 +107,9 @@ class TestOfflineAudit:
     def test_reconstruction_from_export(self, n, policy):
         vectors = random_vectors(n, 2, seed=n * 13)
         run = run_protocol(vectors, seed=6, policy=policy)
-        messages = list(Transcript.from_jsonl(run.transcript.export_jsonl()))
-        offline = View(
-            party=run.ttp,
-            ring=run.ring,
-            sent_messages=[m for m in messages if m.sender == run.ttp],
-            received_messages=[m for m in messages if m.recipient == run.ttp],
-        )
+        imported = Transcript.from_jsonl(run.transcript.export_jsonl())
+        sent, received = imported.messages_of(run.ttp)
+        offline = View(run.ring, sent_messages=sent, received_messages=received)
         recovered = reconstruct_inputs(offline)
         assert recovered == reconstruct_inputs(run.view_of(run.ttp))
         assert len(recovered) == (n if policy is Policy.FLAWED else 0)
@@ -144,7 +132,7 @@ class TestOfflineAudit:
         for party in (*run.data_parties, run.ttp):
             live = run.view_of(party)
             sent, received = imported.messages_of(party)
-            offline = View(party, run.ring, live.own_inputs, sent, received)
+            offline = View(run.ring, live.own_inputs, sent, received)
             assert knowledge_closure(offline) == knowledge_closure(live)
             assert reconstruct_inputs(offline) == reconstruct_inputs(live)
 
@@ -186,7 +174,6 @@ class TestKnowledgeClosure:
         factor mask is known."""
         masked = _masked(3, TTP, 3, {"kind": "prod", "masks": factors})
         view = View(
-            party=TTP,
             ring=Ring(),
             sent_messages=[_share(seq, HOLDER, seq + 1) for seq in range(3)],
             received_messages=[masked],
@@ -214,23 +201,23 @@ class TestTranscriptScans:
     # last recipient) holds it, and delivery order differs from seq order.
 
     def test_mask_safety_flags_mask_known_earlier_in_delivery(self):
-        transcript = _delivered(
+        transcript = Transcript([
             _share(9, OTHER), _share(1, HOLDER), _masked(5, OTHER)
-        )
+        ])
         assert scan_mask_safety(transcript) == [
             f"seq 5: mask 0 reached knowing party {OTHER}"
         ]
 
     def test_mask_safety_ignores_mask_learned_later_in_delivery(self):
-        transcript = _delivered(
+        transcript = Transcript([
             _masked(9, OTHER), _share(2, OTHER), _share(3, HOLDER)
-        )
+        ])
         assert scan_mask_safety(transcript) == []
 
     def test_mask_freshness_flags_a_repeated_id(self):
-        transcript = _delivered(
+        transcript = Transcript([
             _share(0, HOLDER), _share(1, OTHER, mask_id=1), _share(2, OTHER)
-        )
+        ])
         assert scan_mask_freshness(transcript) == ["mask 0 distributed twice"]
 
 

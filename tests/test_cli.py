@@ -16,6 +16,7 @@ from npscalar import (
     parse_modulus,
 )
 from npscalar.cli import build_parser, main
+from npscalar.config import MAX_MODULUS_BITS
 
 THREE_PARTY = textwrap.dedent(
     """
@@ -28,6 +29,13 @@ THREE_PARTY = textwrap.dedent(
       claire: [5, 6]
     """
 )
+
+TWO_PARTY = "parties:\n  a: [1, 2]\n  b: [3, 4]\n"
+# an int literal past CPython's 4,300-digit limit on text-to-int conversion
+LONG = "9" * 5000
+TOO_LARGE = "modulus must have at most 4096 bits"
+BAD_POWER = "a modulus power needs base >= 2 and exponent >= 1"
+UNREADABLE = "malformed config: Exceeds the limit (4300 digits)"
 
 
 class TestParseModulus:
@@ -42,6 +50,26 @@ class TestParseModulus:
             parse_modulus("two")
         with pytest.raises(ConfigError):
             parse_modulus(1)
+
+    @pytest.mark.parametrize("spec", ["-2**2", "-2^2", "1**5", "0**3", "2**0", "2**-1"])
+    def test_rejects_a_power_below_base_2_or_exponent_1(self, spec):
+        """`-2**2` is not read as (-2)**2 = 4."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(BAD_POWER)}$"):
+            parse_modulus(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["3**2000000", "10**5000", "2**4096", 1 << 4096],
+        ids=["3**2000000", "10**5000", "2**4096", "int-2**4096"],
+    )
+    def test_rejects_a_modulus_over_the_bound(self, spec):
+        """Every modulus, and so every result, stays printable."""
+        with pytest.raises(ConfigError, match=f"^{TOO_LARGE}$"):
+            parse_modulus(spec)
+
+    def test_accepts_the_largest_modulus(self):
+        assert parse_modulus("2**4095").bit_length() == MAX_MODULUS_BITS
+        assert parse_modulus((1 << MAX_MODULUS_BITS) - 1) == (1 << 4096) - 1
 
 
 class TestParseConfig:
@@ -279,6 +307,41 @@ class TestCliCommands:
         assert status == 2
         assert out == "" and runs == []
         assert err == f"error: cannot open {dest}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "argv,text,err",
+        [
+            (["run", "--modulus", "10**5000"], TWO_PARTY, TOO_LARGE),
+            (["oracle", "--modulus", "10**5000"], TWO_PARTY, TOO_LARGE),
+            (["run", "--modulus=-2**2"], TWO_PARTY, BAD_POWER),
+            (["run"], "modulus: -2**2\n" + TWO_PARTY, BAD_POWER),
+            (["run"], f"modulus: {LONG}\n" + TWO_PARTY, UNREADABLE),
+            (["run"], f"seed: {LONG}\n" + TWO_PARTY, UNREADABLE),
+            (["oracle"], f"parties:\n  a: [1, {LONG}]\n  b: [3, 4]\n", UNREADABLE),
+        ],
+        ids=[
+            "run-modulus-flag",
+            "oracle-modulus-flag",
+            "negative-base-flag",
+            "negative-base-key",
+            "long-modulus-key",
+            "long-seed-key",
+            "long-entry",
+        ],
+    )
+    def test_oversized_or_negative_input_is_error_before_the_run(
+        self, argv, text, err, tmp_path, capsys, monkeypatch
+    ):
+        """An integer too long to print, or a power with a base below 2, is
+        one error line and status 2, with no run and no traceback."""
+        monkeypatch.setattr(npscalar.cli, "run_protocol", None)
+        monkeypatch.setattr(npscalar.cli.analysis, "plaintext_oracle", None)
+        path = tmp_path / "big.yaml"
+        path.write_text(text)
+        status = main([*argv, "--config", str(path)])
+        out, got = capsys.readouterr()
+        assert status == 2 and out == ""
+        assert got.startswith(f"error: {err}") and got.count("\n") == 1
 
     def test_count_min_above_max_is_error(self, capsys):
         status = main(["count", "--min", "5", "--max", "2"])

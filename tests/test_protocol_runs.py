@@ -274,7 +274,7 @@ class TestValidation:
 
     def test_transcript_ends_with_final_results(self):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=7)
-        tail = list(run.transcript)[-3:]
+        tail = run.transcript[-3:]
         assert all(m.kind is MessageKind.FINAL_RESULT for m in tail)
         assert {str(m.recipient) for m in tail} == {"p1", "p2", "p3"}
 

@@ -95,13 +95,11 @@ def _stdlib_export(transcript):
 
 
 def _hand_built(*payloads, metas=None, sender=ALICE):
-    transcript = Transcript()
     metas = metas or [{}] * len(payloads)
-    for seq, (payload, meta) in enumerate(zip(payloads, metas)):
-        transcript.append(
-            Message(seq, sender, BOB, seq, MessageKind.CHAIN_VALUE, payload, meta)
-        )
-    return transcript
+    return Transcript(
+        Message(seq, sender, BOB, seq, MessageKind.CHAIN_VALUE, payload, meta)
+        for seq, (payload, meta) in enumerate(zip(payloads, metas))
+    )
 
 
 class _Int(int):
@@ -210,7 +208,7 @@ class TestExportEncoder:
 
     def test_unserialisable_seq_raises_same_error(self):
         transcript = _hand_built({"v": 1})
-        list(transcript)[0].seq = object()
+        transcript[0].seq = object()
         with pytest.raises(TypeError) as expected:
             _stdlib_export(transcript)
         with pytest.raises(TypeError) as got:
@@ -220,9 +218,7 @@ class TestExportEncoder:
     @settings(max_examples=60, deadline=None)
     @given(messages=st.lists(_messages(), min_size=1, max_size=4))
     def test_random_records_match_stdlib(self, messages):
-        transcript = Transcript()
-        for msg in messages:
-            transcript.append(msg)
+        transcript = Transcript(messages)
         assert transcript.export_jsonl() == _stdlib_export(transcript)
 
     @settings(max_examples=60, deadline=None)
@@ -230,9 +226,7 @@ class TestExportEncoder:
     def test_import_then_export_is_identity(self, messages):
         """Reading an exported text back and exporting it again gives the
         same text: every party id is read back as the id that wrote it."""
-        transcript = Transcript()
-        for msg in messages:
-            transcript.append(msg)
+        transcript = Transcript(messages)
         text = transcript.export_jsonl()
         assert Transcript.from_jsonl(text).export_jsonl() == text
 
