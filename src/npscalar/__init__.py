@@ -40,12 +40,7 @@ from .protocol import (
     run_protocol,
 )
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
-from .shares import (
-    Rng,
-    ShareBundle,
-    generate_share_bundles,
-    split_value,
-)
+from .shares import Rng, generate_share_bundles, split_value
 from .simnet import Message, MessageKind, Network, Transcript, View
 
 __version__ = "0.1.0"
@@ -69,7 +64,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "ScalarProtocolError",
-    "ShareBundle",
     "Transcript",
     "TtpAssignmentError",
     "View",

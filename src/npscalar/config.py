@@ -26,6 +26,14 @@ MAX_MODULUS_BITS = 4096
 _TOO_LARGE = f"modulus must have at most {MAX_MODULUS_BITS} bits"
 
 
+def _unparsable(spec) -> ConfigError:
+    """The parse error, echoing at most 40 characters of the spec."""
+    text = repr(spec)
+    if len(text) > 40:
+        text = f"{text[:40]}... ({len(text)} characters)"
+    return ConfigError(f"cannot parse modulus {text}")
+
+
 def parse_modulus(spec) -> int:
     """Accept an int, or strings like "2^64", "2**64" or "251", from 2 up
     to MAX_MODULUS_BITS bits. A power's base must be at least 2, and a
@@ -35,7 +43,7 @@ def parse_modulus(spec) -> int:
         try:
             value, exp = int(base), int(exp) if power else 1
         except ValueError as exc:
-            raise ConfigError(f"cannot parse modulus {spec!r}") from exc
+            raise _unparsable(spec) from exc
         if power:
             if value < 2 or exp < 1:
                 raise ConfigError("a modulus power needs base >= 2 and exponent >= 1")
@@ -47,7 +55,7 @@ def parse_modulus(spec) -> int:
     elif isinstance(spec, int):
         value = spec
     else:
-        raise ConfigError(f"cannot parse modulus {spec!r}")
+        raise _unparsable(spec)
     if value < 2:
         raise ConfigError("modulus must be at least 2")
     if value.bit_length() > MAX_MODULUS_BITS:

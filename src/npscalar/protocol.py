@@ -68,7 +68,7 @@ duplicate, one that never came as missing, and a position or scalar that
 is not exactly an int (`True == 1` and `1.0 == 1`) by name.
 
 A position computes with the mask, share and mask id its share
-distribution carried. The TTP's bundles live only while `start` spawns
+distribution carried. The TTP's masks live only while `start` spawns
 the instance's children: each child's collapsed mask product, the TTP's
 own knowledge, is built then, before the child starts.
 """
@@ -89,7 +89,7 @@ from .errors import (
 )
 from .parties import PartyId
 from .ring import ModVector, Ring, _add, _trace
-from .shares import Rng, ShareBundle, generate_share_bundles
+from .shares import Rng, generate_share_bundles
 from .simnet import MessageKind, Network, View
 
 
@@ -349,33 +349,36 @@ class ProtocolEngine:
     def start(self, inst: ProtocolInstance) -> None:
         """Send the instance's shares and spawn its children in plan order.
         The children's collapsed mask products are built here, so the
-        bundles die with this call; the children themselves start later,
+        masks die with this call; the children themselves start later,
         as one sibling group."""
         m, ttp = inst.m, inst.ttp
         for pos in inst.positions:
             # share, m-1 masked vectors and the previous chain value
             pos.waiting = m + 1
         inst.positions[0].waiting = m  # position 1 opens the chain
-        bundles = generate_share_bundles(m, inst.length, self.ring, self.rng)
+        masks, shares = generate_share_bundles(m, inst.length, self.ring, self.rng)
         first = self.next_mask_id
         self.next_mask_id = first + m
         # one int per id, shared by the share, the broadcast and every subject
         ids = list(range(first, first + m))
         send, iid = self.net.send, inst.instance_id
-        for i, (pos, bundle) in enumerate(zip(inst.positions, bundles), start=1):
+        for i, pos in enumerate(inst.positions, start=1):
             send(
                 ttp,
                 pos.owner,
                 iid,
                 _SHARE,
-                {"to_pos": i, "mask": bundle.mask.entries, "share": bundle.share},
+                {"to_pos": i, "mask": masks[i - 1], "share": shares[i - 1]},
                 {"mask_id": ids[i - 1]},
             )
-        children = [
-            self.spawn_sub_instance(inst, bundles, ids, kept, dropped)
-            for kept, dropped, _ in enumerate_sub_instances(m)
-        ]
-        if children:
+        plan = enumerate_sub_instances(m)
+        if plan:
+            # the TTP's collapse multiplies ModVectors; a leaf needs none
+            masks = [ModVector._reduced(mask, self.ring) for mask in masks]
+            children = [
+                self.spawn_sub_instance(inst, masks, ids, kept, dropped)
+                for kept, dropped, _ in plan
+            ]
             first = children[0].instance_id
             inst.children = range(first, first + len(children))
             self.unstarted.append(children)
@@ -383,13 +386,13 @@ class ProtocolEngine:
     def spawn_sub_instance(
         self,
         parent: ProtocolInstance,
-        bundles: Sequence[ShareBundle],
+        masks: Sequence[ModVector],
         ids: Sequence[int],
         kept: tuple[int, ...],
         dropped: tuple[int, ...],
     ) -> ProtocolInstance:
         """Build the child instance for one entry of the parent's
-        sub-instance plan; `bundles` are the ones the parent's TTP
+        sub-instance plan; `masks` are the ones the parent's TTP
         generated and `ids` their mask ids, both in position order.
 
         Kept positions carry their vectors over unchanged; the remaining
@@ -401,9 +404,9 @@ class ProtocolEngine:
         for i in kept:
             pos = parent_positions[i - 1]
             positions.append(_Position(pos.owner, pos.vector, pos.subject))
-        collapsed = bundles[dropped[0] - 1].mask
+        collapsed = masks[dropped[0] - 1]
         for j in dropped[1:]:
-            collapsed = collapsed.hadamard(bundles[j - 1].mask)
+            collapsed = collapsed.hadamard(masks[j - 1])
         # `dropped` and the ids ascend, so the subject's ids do too
         subject = {"kind": "prod", "masks": tuple(ids[j - 1] for j in dropped)}
         positions.append(_Position(parent.ttp, collapsed.entries, subject))

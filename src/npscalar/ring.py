@@ -22,11 +22,12 @@ A `ModVector`'s entries are always a non-empty tuple of Python ints in
 entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
 it stores the tuple as given, with no copy, no reduction and no length
 check. Its callers pass a tuple reduced by construction: a kernel's
-result, or a slice of one uniform draw below the modulus (an instance's
-masks, cut from one `Rng.vector` tuple). Entries are immutable, so such
-a tuple can be shared between vectors and message payloads. The private
-kernels `_add` and `_trace` take bare entry tuples of one length, checked
-by their caller; the engine keeps every vector in that form.
+result, or, in `ProtocolEngine.start`, an instance's mask, a slice of one
+uniform draw below the modulus, wrapped once for the collapse of the
+instance's children. Entries are immutable, so such a tuple can be shared
+between vectors and message payloads. The private kernels `_add` and
+`_trace` take entry sequences of one length, checked by their caller;
+the engine keeps every vector as an entry tuple.
 """
 
 from __future__ import annotations
@@ -109,18 +110,19 @@ class ModVector:
         )
 
 
-def product_trace(vectors: Sequence[ModVector], ring: Ring) -> int:
-    """Trace of the product of the diagonal matrices encoded by `vectors`.
+def product_trace(vectors: Sequence[Sequence[int]], ring: Ring) -> int:
+    """Trace of the product of the diagonal matrices encoded by `vectors`,
+    entry tuples or `ModVector`s of one length.
 
     Equals the n-way inner product sum_j prod_i vectors[i][j] mod modulus.
     """
     if not vectors:
         raise InputShapeError("product_trace needs at least one vector")
-    length = len(vectors[0].entries)
+    length = len(vectors[0])
     for v in vectors[1:]:
-        if len(v.entries) != length:
+        if len(v) != length:
             raise InputShapeError("length mismatch in product_trace")
-    return _trace(vectors[0].entries, [v.entries for v in vectors[1:]], ring)
+    return _trace(vectors[0], vectors[1:], ring)
 
 
 def _add(a: tuple, b: tuple, ring: Ring) -> tuple:
@@ -129,7 +131,7 @@ def _add(a: tuple, b: tuple, ring: Ring) -> tuple:
     return tuple(map(op, map(operator.add, a, b), repeat(k)))
 
 
-def _trace(first: tuple, rest: Iterable[tuple], ring: Ring) -> int:
+def _trace(first: Iterable[int], rest: Iterable[Iterable[int]], ring: Ring) -> int:
     """sum_j first[j] * prod(r[j] for r in rest) mod modulus. Each entry's
     product is a left fold of C-level `map`s, so no per-entry tuple is
     built; the exact sum is reduced once at the end."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from typing import NamedTuple
 
 from .errors import InstanceShapeError
-from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
+from .ring import DEFAULT_MODULUS, Ring, product_trace
 
 
 class Rng:
@@ -50,18 +49,6 @@ class Rng:
         return tuple(map(self._r.randrange, itertools.repeat(ring.modulus, length)))
 
 
-class ShareBundle(NamedTuple):
-    """One party's correlated randomness: a mask vector and a scalar share.
-
-    Across one instance's bundles the scalar shares sum to the trace of the
-    product of the mask vectors. A bundle is an immutable tuple
-    (mask, share).
-    """
-
-    mask: ModVector
-    share: int
-
-
 def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
     """Additively split `value` into n shares; the first n-1 are uniform."""
     if n < 1:
@@ -73,19 +60,15 @@ def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
 
 def generate_share_bundles(
     n: int, length: int, ring: Ring, rng: Rng
-) -> list[ShareBundle]:
-    """Fresh correlated randomness for an n-position instance.
-
-    Mask vectors are uniform; scalar shares additively split the trace of
-    the product of all masks. `Rng.vector` rejects a length below 1.
+) -> tuple[list[tuple], list[int]]:
+    """Fresh correlated randomness for an n-position instance, as
+    `(masks, shares)`: n uniform mask entry tuples, and n scalar shares
+    that additively split the trace of the product of all masks.
+    `Rng.vector` rejects a length below 1.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
     # one draw for all n masks: the same entries as n draws (see `Rng`)
     block = rng.vector(ring, n * length)
-    masks = [
-        ModVector._reduced(block[i : i + length], ring)
-        for i in range(0, n * length, length)
-    ]
-    shares = split_value(product_trace(masks, ring), n, ring, rng)
-    return [ShareBundle(mask, share) for mask, share in zip(masks, shares)]
+    masks = [block[i : i + length] for i in range(0, n * length, length)]
+    return masks, split_value(product_trace(masks, ring), n, ring, rng)

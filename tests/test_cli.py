@@ -343,6 +343,20 @@ class TestCliCommands:
         assert status == 2 and out == ""
         assert got.startswith(f"error: {err}") and got.count("\n") == 1
 
+    def test_unparsable_long_modulus_is_cut_in_the_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A 5,000-digit `--modulus` is echoed as its first 40 characters
+        and its length, not in full."""
+        monkeypatch.setattr(npscalar.cli, "run_protocol", None)
+        path = tmp_path / "two.yaml"
+        path.write_text(TWO_PARTY)
+        status = main(["run", "--modulus", LONG, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert status == 2 and out == ""
+        assert err == f"error: cannot parse modulus '{LONG[:39]}... (5002 characters)\n"
+        assert len(err) < 120
+
     def test_count_min_above_max_is_error(self, capsys):
         status = main(["count", "--min", "5", "--max", "2"])
         out, err = capsys.readouterr()

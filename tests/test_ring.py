@@ -36,6 +36,8 @@ class TestProductTrace:
     def test_length_mismatch(self):
         with pytest.raises(InputShapeError):
             product_trace([vec([1, 2]), vec([1, 2, 3])], R64)
+        with pytest.raises(InputShapeError):
+            product_trace([(1, 2), (1, 2, 3)], R64)
 
 
 class TestVectorAddSub:
@@ -120,6 +122,8 @@ class TestKernelsMatchPerEntryReference:
         got = product_trace([ModVector(r, ring) for r in rows], ring)
         assert got == reference_trace(rows, ring.modulus)
         assert type(got) is int
+        # entry tuples trace the same as the ModVectors over them
+        assert product_trace([tuple(r) for r in rows], ring) == got
 
     @given(
         modulus=st.sampled_from(MODULI),

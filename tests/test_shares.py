@@ -15,6 +15,8 @@ from npscalar.analysis import uniformity_pvalue
 
 R64 = Ring()
 R7 = Ring(7)
+# masked, divided, and divided just past the masked one
+MODULI = (1 << 64, 251, (1 << 64) + 1)
 
 
 class TestSplitValue:
@@ -37,17 +39,28 @@ class TestSplitValue:
 class TestShareBundles:
     def test_complement_share_identity_mod_7(self):
         # masks (3,) and (5,): trace 15 = 1 mod 7; share 4 forces complement 4
-        from npscalar import ModVector
-
-        trace = product_trace([ModVector([3], R7), ModVector([5], R7)], R7)
+        trace = product_trace([(3,), (5,)], R7)
         assert trace == 1
         assert R7.reduce(trace - 4) == 4
 
     def test_share_sum_matches_mask_trace(self):
-        for n, length, seed in [(2, 1, 0), (3, 4, 1), (5, 2, 2), (8, 16, 3)]:
-            bundles = generate_share_bundles(n, length, R64, Rng(seed))
-            trace = product_trace([b.mask for b in bundles], R64)
-            assert sum(b.share for b in bundles) % R64.modulus == trace
+        for modulus in MODULI:
+            ring = Ring(modulus)
+            for n, length, seed in [(2, 1, 0), (3, 4, 1), (5, 2, 2), (8, 16, 3)]:
+                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
+                assert len(masks) == len(shares) == n
+                assert product_trace(masks, ring) == sum(shares) % modulus
+
+    def test_masks_are_one_draw_of_reduced_ints(self):
+        for modulus in MODULI:
+            ring = Ring(modulus)
+            for n, length, seed in [(2, 1, 0), (3, 4, 1), (6, 16, 2)]:
+                masks, _ = generate_share_bundles(n, length, ring, Rng(seed))
+                for mask in masks:
+                    assert len(mask) == length
+                    assert all(type(x) is int and 0 <= x < modulus for x in mask)
+                drawn = Rng(seed).vector(ring, n * length)
+                assert tuple(itertools.chain.from_iterable(masks)) == drawn
 
     def test_share_sum_identity_random_grid(self):
         r = random.Random(2024)
@@ -55,22 +68,20 @@ class TestShareBundles:
             n = r.randint(2, 8)
             length = r.randint(1, 16)
             ring = r.choice([R64, R7, Ring(251)])
-            bundles = generate_share_bundles(n, length, ring, Rng(r.randrange(2**32)))
-            trace = product_trace([b.mask for b in bundles], ring)
-            assert sum(b.share for b in bundles) % ring.modulus == trace
+            masks, shares = generate_share_bundles(
+                n, length, ring, Rng(r.randrange(2**32))
+            )
+            assert sum(shares) % ring.modulus == product_trace(masks, ring)
 
     def test_seed_replay_is_identical(self):
         a = generate_share_bundles(4, 3, R64, Rng(77))
         b = generate_share_bundles(4, 3, R64, Rng(77))
-        assert [(x.mask.entries, x.share) for x in a] == [
-            (x.mask.entries, x.share) for x in b
-        ]
+        assert a == b
 
     def test_bundles_are_immutable(self):
-        bundle = generate_share_bundles(2, 1, R64, Rng(0))[0]
-        for name in ("mask", "share", "extra"):
-            with pytest.raises(AttributeError):
-                setattr(bundle, name, 1)
+        masks, shares = generate_share_bundles(3, 2, R64, Rng(0))
+        assert [type(mask) for mask in masks] == [tuple] * 3
+        assert [type(share) for share in shares] == [int] * 3
 
     def test_rejects_tiny_instances(self):
         with pytest.raises(InstanceShapeError):
@@ -151,5 +162,4 @@ class TestBatchedMaskDraw:
         masks = [single.vector(ring, length) for _ in range(m)]
         assert block == tuple(itertools.chain.from_iterable(masks))
         assert batched.element(ring) == single.element(ring)
-        bundles = generate_share_bundles(m, length, ring, Rng(seed))
-        assert [b.mask.entries for b in bundles] == masks
+        assert generate_share_bundles(m, length, ring, Rng(seed))[0] == masks
