@@ -40,7 +40,7 @@ from .protocol import (
     run_protocol,
 )
 from .ring import DEFAULT_MODULUS, ModVector, Ring, product_trace
-from .shares import Rng, generate_share_bundles, split_value
+from .shares import Rng, generate_share_bundles
 from .simnet import Message, MessageKind, Network, Transcript, View
 
 __version__ = "0.1.0"
@@ -88,5 +88,4 @@ __all__ = [
     "scan_mask_freshness",
     "scan_mask_safety",
     "scan_ttp_rotation",
-    "split_value",
 ]

@@ -45,14 +45,9 @@ def _load_config(args) -> RunConfig:
     policy = getattr(args, "policy", None)
     if policy:
         cfg.policy = Policy(policy)
-    if args.modulus:
+    if args.modulus is not None:
         cfg.modulus = parse_modulus(args.modulus)
     return cfg
-
-
-def _emit(lines) -> None:
-    for line in lines:
-        print(line)
 
 
 def cmd_run(args) -> int:
@@ -85,19 +80,15 @@ def cmd_run(args) -> int:
     lines.append(f"elapsed-ms: {elapsed_ms:.1f}")
     if args.transcript:
         lines.append(f"transcript: {args.transcript}")
-    _emit(lines)
+    print(*lines, sep="\n")
     return status
 
 
 def cmd_attack_demo(args) -> int:
     cfg = _load_config(args)
     if len(cfg.parties) == 2:
-        _emit(
-            [
-                "warning: no sub-protocols exist for 2 parties;",
-                "the flawed and secure policies behave identically",
-            ]
-        )
+        print("warning: no sub-protocols exist for 2 parties;")
+        print("the flawed and secure policies behave identically")
         return 0
     lines = []
     parties = [PartyId.data(i + 1) for i in range(len(cfg.parties))]
@@ -130,7 +121,7 @@ def cmd_attack_demo(args) -> int:
             flawed_full = recovered == truth
     dichotomy = flawed_full and secure_holds
     lines.append(f"dichotomy: {str(dichotomy).lower()}")
-    _emit(lines)
+    print(*lines, sep="\n")
     return 0 if dichotomy else 1
 
 
@@ -143,14 +134,14 @@ def cmd_count(args) -> int:
         lines.append(
             f"{c.n} {c.direct_children} {c.total_instances} {c.messages}"
         )
-    _emit(lines)
+    print(*lines, sep="\n")
     return 0
 
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
     value = analysis.plaintext_oracle(cfg.vectors, Ring(cfg.modulus))
-    _emit([f"oracle: {value}", f"modulus: {cfg.modulus}"])
+    print(f"oracle: {value}", f"modulus: {cfg.modulus}", sep="\n")
     return 0
 
 

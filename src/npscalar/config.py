@@ -13,6 +13,7 @@ Example::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputShapeError, InstanceShapeError
@@ -88,8 +89,13 @@ def parse_config(text: str) -> RunConfig:
     try:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:
-        # PyYAML raises ValueError for an int literal over CPython's digit limit
-        raise ConfigError(f"malformed config: {exc}") from exc
+        problem = str(exc)
+        # PyYAML passes on a constructor's ValueError; int()'s, past CPython's
+        # digit limit, advises a call that a config file cannot make
+        if problem.startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            problem = f"an integer literal has more than {limit} digits"
+        raise ConfigError(f"malformed config: {problem}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
 

@@ -8,8 +8,8 @@ masks a sub-instance replaces. Every instance, m >= 2, runs one flow:
      (mask vector + additive scalar share) to every position;
   2. every position broadcasts its masked vector to the other positions
      (the TTP receives no protocol traffic: commodity-server discipline);
-  3. position 1 draws the output mask, folds it into the first chain
-     value, and the chain value walks positions 2..m and back to 1;
+  3. position 1 folds the output mask, drawn when the instance starts,
+     into the first chain value, which walks positions 2..m and back to 1;
   4. each proper subset of positions that keeps 1..m-2 vectors as data
      spawns a sub-instance computing the corresponding mixed term, with
      the remaining positions' masks collapsed into a single vector held
@@ -47,10 +47,12 @@ start together, so their messages stay batched by kind in the FIFO. Every
 child is causally enabled when its parent starts, so this is a legal
 schedule: results, message counts per kind and instances per depth are
 those of starting every instance at once; transcript order and RNG draw
-order are not. A sub-instance leaves `engine.instances` once it sends its
-sub-result, so only unfinished instances and unstarted groups are live,
-and a message for a released instance is rejected as one for no such
-instance.
+order are not. Every draw happens in `start`, so the values drawn depend on
+the start order, not on delivery order: any legal delivery order sends the
+same messages, and only their seqs and order move. A sub-instance leaves
+`engine.instances` once it sends its sub-result, so only unfinished
+instances and unstarted groups are live, and a message for a released
+instance is rejected as one for no such instance.
 
 Every message follows one contract. Its payload names the position it
 goes to as `to_pos`, and a masked vector or chain value, whose sending
@@ -347,16 +349,17 @@ class ProtocolEngine:
         return inst
 
     def start(self, inst: ProtocolInstance) -> None:
-        """Send the instance's shares and spawn its children in plan order.
-        The children's collapsed mask products are built here, so the
-        masks die with this call; the children themselves start later,
-        as one sibling group."""
+        """Draw all the instance's randomness, send its shares and spawn its
+        children in plan order. The children's collapsed mask products are
+        built here, so the masks die with this call; the children
+        themselves start later, as one sibling group."""
         m, ttp = inst.m, inst.ttp
         for pos in inst.positions:
             # share, m-1 masked vectors and the previous chain value
             pos.waiting = m + 1
         inst.positions[0].waiting = m  # position 1 opens the chain
         masks, shares = generate_share_bundles(m, inst.length, self.ring, self.rng)
+        inst.positions[0].output_mask = self.rng.element(self.ring)
         first = self.next_mask_id
         self.next_mask_id = first + m
         # one int per id, shared by the share, the broadcast and every subject
@@ -495,12 +498,11 @@ class ProtocolEngine:
 
     def _chain(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
         """Position i's chain step, taken once it waits for nothing more.
-        Position 1 draws the output mask and opens the chain. The masked
-        vectors are freed once the step is sent."""
+        Position 1 opens the chain with the output mask `start` drew. The
+        masked vectors are freed once the step is sent."""
         ring, masked = self.ring, pos.masked.values()
         if i == 1:
-            out = pos.output_mask = self.rng.element(ring)
-            value = chain_init(pos.vector, masked, pos.share, out, ring)
+            value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
         else:
             value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
         pos.masked = None
@@ -698,8 +700,7 @@ def run_protocol(
     net = Network()
     for party in (*data_parties, ttp):
         net.register(party)
-    rng = Rng(seed)
-    engine = ProtocolEngine(ring, rng, policy, net, [*data_parties, ttp])
+    engine = ProtocolEngine(ring, Rng(seed), policy, net, [*data_parties, ttp])
 
     positions = []
     for party, vec in zip(data_parties, vectors):

@@ -112,7 +112,7 @@ class ModVector:
 
 def product_trace(vectors: Sequence[Sequence[int]], ring: Ring) -> int:
     """Trace of the product of the diagonal matrices encoded by `vectors`,
-    entry tuples or `ModVector`s of one length.
+    int entry tuples or `ModVector`s of one length.
 
     Equals the n-way inner product sum_j prod_i vectors[i][j] mod modulus.
     """
@@ -122,7 +122,9 @@ def product_trace(vectors: Sequence[Sequence[int]], ring: Ring) -> int:
     for v in vectors[1:]:
         if len(v) != length:
             raise InputShapeError("length mismatch in product_trace")
-    return _trace(vectors[0], vectors[1:], ring)
+    if type(t := _trace(vectors[0], vectors[1:], ring)) is not int:
+        raise TypeError("product_trace needs integer entries")
+    return t
 
 
 def _add(a: tuple, b: tuple, ring: Ring) -> tuple:

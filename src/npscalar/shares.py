@@ -26,9 +26,9 @@ class Rng:
     whose rejection sampling is what makes a draw below a modulus that is
     not a power of two exactly uniform.
 
-    Either way one vector of n * L entries equals n successive vectors of
-    length L and leaves the same stream state: `getrandbits` consumes whole
-    32-bit outputs, low word first.
+    Either way a vector of k entries equals k successive `element` draws
+    and leaves the same stream state: `getrandbits` consumes whole 32-bit
+    outputs, low word first.
     """
 
     def __init__(self, seed: int):
@@ -49,26 +49,20 @@ class Rng:
         return tuple(map(self._r.randrange, itertools.repeat(ring.modulus, length)))
 
 
-def split_value(value: int, n: int, ring: Ring, rng: Rng) -> list[int]:
-    """Additively split `value` into n shares; the first n-1 are uniform."""
-    if n < 1:
-        raise InstanceShapeError("cannot split into zero shares")
-    shares = [rng.element(ring) for _ in range(n - 1)]
-    shares.append(ring.reduce(value - sum(shares)))
-    return shares
-
-
 def generate_share_bundles(
     n: int, length: int, ring: Ring, rng: Rng
 ) -> tuple[list[tuple], list[int]]:
     """Fresh correlated randomness for an n-position instance, as
     `(masks, shares)`: n uniform mask entry tuples, and n scalar shares
-    that additively split the trace of the product of all masks.
-    `Rng.vector` rejects a length below 1.
+    that additively split the trace of the product of all masks. One draw
+    gives the masks and the first n - 1 shares; the last completes the sum.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
-    # one draw for all n masks: the same entries as n draws (see `Rng`)
-    block = rng.vector(ring, n * length)
+    if length < 1:
+        raise InstanceShapeError("vector length must be >= 1")
+    block = rng.vector(ring, n * length + n - 1)
     masks = [block[i : i + length] for i in range(0, n * length, length)]
-    return masks, split_value(product_trace(masks, ring), n, ring, rng)
+    shares = list(block[n * length :])
+    shares.append(ring.reduce(product_trace(masks, ring) - sum(shares)))
+    return masks, shares

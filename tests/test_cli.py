@@ -35,7 +35,7 @@ TWO_PARTY = "parties:\n  a: [1, 2]\n  b: [3, 4]\n"
 LONG = "9" * 5000
 TOO_LARGE = "modulus must have at most 4096 bits"
 BAD_POWER = "a modulus power needs base >= 2 and exponent >= 1"
-UNREADABLE = "malformed config: Exceeds the limit (4300 digits)"
+UNREADABLE = "malformed config: an integer literal has more than 4300 digits\n"
 
 
 class TestParseModulus:
@@ -333,7 +333,7 @@ class TestCliCommands:
         self, argv, text, err, tmp_path, capsys, monkeypatch
     ):
         """An integer too long to print, or a power with a base below 2, is
-        one error line and status 2, with no run and no traceback."""
+        one short error line and status 2, with no run and no traceback."""
         monkeypatch.setattr(npscalar.cli, "run_protocol", None)
         monkeypatch.setattr(npscalar.cli.analysis, "plaintext_oracle", None)
         path = tmp_path / "big.yaml"
@@ -342,6 +342,7 @@ class TestCliCommands:
         out, got = capsys.readouterr()
         assert status == 2 and out == ""
         assert got.startswith(f"error: {err}") and got.count("\n") == 1
+        assert len(got) < 120
 
     def test_unparsable_long_modulus_is_cut_in_the_error(
         self, tmp_path, capsys, monkeypatch
@@ -356,6 +357,19 @@ class TestCliCommands:
         assert status == 2 and out == ""
         assert err == f"error: cannot parse modulus '{LONG[:39]}... (5002 characters)\n"
         assert len(err) < 120
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "attack-demo"])
+    def test_empty_modulus_is_error_before_the_run(
+        self, command, config_path, capsys, monkeypatch
+    ):
+        """An empty `--modulus` is a parse error, not a missing flag that
+        leaves the config's modulus in place."""
+        monkeypatch.setattr(npscalar.cli, "run_protocol", None)
+        monkeypatch.setattr(npscalar.cli.analysis, "plaintext_oracle", None)
+        status = main([command, "--config", config_path, "--modulus", ""])
+        out, err = capsys.readouterr()
+        assert status == 2 and out == ""
+        assert err == "error: cannot parse modulus ''\n"
 
     def test_count_min_above_max_is_error(self, capsys):
         status = main(["count", "--min", "5", "--max", "2"])

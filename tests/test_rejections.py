@@ -144,13 +144,18 @@ def test_rejection(call, error, message):
     "text,start",
     [
         ("parties: [1, 2", "malformed config: while parsing a flow sequence\n"),
-        (f"seed: {'9' * 5000}\n", "malformed config: Exceeds the limit (4300 digits)"),
+        (
+            f"seed: {'9' * 5000}\n",
+            "malformed config: an integer literal has more than 4300 digits",
+        ),
+        ("seed: 2024-13-45\n", "malformed config: month must be in 1..12"),
     ],
-    ids=["malformed-yaml", "int-too-long"],
+    ids=["malformed-yaml", "int-too-long", "bad-date"],
 )
 def test_unreadable_config(text, start):
     """PyYAML's own text follows the prefix; an int literal past CPython's
-    digit limit is a ConfigError too, not a bare ValueError."""
+    digit limit, or an impossible date, is a ConfigError too, not a bare
+    ValueError."""
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
     assert type(caught.value) is ConfigError

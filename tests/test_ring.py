@@ -1,7 +1,9 @@
 import operator
 import random
+from fractions import Fraction
 from functools import reduce
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,20 @@ class TestProductTrace:
             product_trace([vec([1, 2]), vec([1, 2, 3])], R64)
         with pytest.raises(InputShapeError):
             product_trace([(1, 2), (1, 2, 3)], R64)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [1.5, Fraction(3, 2), Fraction(4, 2), numpy.int64(2)],
+        ids=["float", "fraction", "whole-fraction", "numpy-int64"],
+    )
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_non_int_entry_is_type_error(self, entry, where):
+        """A float, `Fraction` or numpy entry, in the first vector or a
+        later one, is a TypeError, as a float is in `ModVector`."""
+        vectors = [(1, 2), (3, 4)]
+        vectors[where] = (entry, 2)
+        with pytest.raises(TypeError, match="product_trace needs integer entries"):
+            product_trace(vectors, R7)
 
 
 class TestVectorAddSub:

@@ -9,7 +9,6 @@ from npscalar import (
     Rng,
     generate_share_bundles,
     product_trace,
-    split_value,
 )
 from npscalar.analysis import uniformity_pvalue
 
@@ -17,23 +16,6 @@ R64 = Ring()
 R7 = Ring(7)
 # masked, divided, and divided just past the masked one
 MODULI = (1 << 64, 251, (1 << 64) + 1)
-
-
-class TestSplitValue:
-    def test_single_share_is_value(self):
-        assert split_value(42, 1, R64, Rng(0)) == [42]
-
-    def test_shares_sum_to_value(self):
-        shares = split_value(10, 3, R64, Rng(5))
-        assert sum(shares) % R64.modulus == 10
-
-    def test_zero_splits_to_additive_inverses(self):
-        a, b = split_value(0, 2, R64, Rng(9))
-        assert (a + b) % R64.modulus == 0
-
-    def test_rejects_zero_shares(self):
-        with pytest.raises(InstanceShapeError):
-            split_value(1, 0, R64, Rng(0))
 
 
 class TestShareBundles:
@@ -51,16 +33,32 @@ class TestShareBundles:
                 assert len(masks) == len(shares) == n
                 assert product_trace(masks, ring) == sum(shares) % modulus
 
-    def test_masks_are_one_draw_of_reduced_ints(self):
+    def test_masks_and_shares_are_one_draw_of_reduced_ints(self):
+        """The masks, then the first n - 1 shares, are one draw of
+        n * L + n - 1 entries."""
         for modulus in MODULI:
             ring = Ring(modulus)
             for n, length, seed in [(2, 1, 0), (3, 4, 1), (6, 16, 2)]:
-                masks, _ = generate_share_bundles(n, length, ring, Rng(seed))
+                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
                 for mask in masks:
                     assert len(mask) == length
                     assert all(type(x) is int and 0 <= x < modulus for x in mask)
-                drawn = Rng(seed).vector(ring, n * length)
-                assert tuple(itertools.chain.from_iterable(masks)) == drawn
+                assert all(type(x) is int and 0 <= x < modulus for x in shares)
+                drawn = Rng(seed).vector(ring, n * length + n - 1)
+                assert (*itertools.chain.from_iterable(masks), *shares[:-1]) == drawn
+
+    def test_draw_equals_masks_then_element_draws(self):
+        """The one draw keeps the stream of a mask vector followed by n - 1
+        `element` draws for the uniform shares."""
+        for modulus in MODULI:
+            ring = Ring(modulus)
+            for n, length, seed in [(2, 1, 0), (3, 4, 1), (6, 16, 2)]:
+                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
+                rng = Rng(seed)
+                block = rng.vector(ring, n * length)
+                uniform = [rng.element(ring) for _ in range(n - 1)]
+                assert tuple(itertools.chain.from_iterable(masks)) == block
+                assert shares[:-1] == uniform
 
     def test_share_sum_identity_random_grid(self):
         r = random.Random(2024)
@@ -86,8 +84,9 @@ class TestShareBundles:
     def test_rejects_tiny_instances(self):
         with pytest.raises(InstanceShapeError):
             generate_share_bundles(1, 1, R64, Rng(0))
-        with pytest.raises(InstanceShapeError):
-            generate_share_bundles(2, 0, R64, Rng(0))
+        for ring in (R64, R7):
+            with pytest.raises(InstanceShapeError, match="vector length must be >= 1"):
+                generate_share_bundles(2, 0, ring, Rng(0))
 
 
 def test_rng_streams_are_reproducible():
@@ -148,8 +147,8 @@ class TestDrawRule:
 
 
 class TestBatchedMaskDraw:
-    """An instance's m masks come from one draw of m * L entries, which is
-    the same draw as m successive vectors of length L."""
+    """An instance's m masks are the first m * L entries of its one draw,
+    the same entries as m successive vectors of length L."""
 
     @pytest.mark.parametrize("m", [2, 6])
     @pytest.mark.parametrize("length", [1, 16, 2048])
