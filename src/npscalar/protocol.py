@@ -67,10 +67,17 @@ ring: position j takes exactly one chain value, from the position before
 it (m before 1), and position 1's is the closing value. A final result
 carries the published one. A repeated message is rejected as a
 duplicate, one that never came as missing, and a position or scalar that
-is not exactly an int (`True == 1` and `1.0 == 1`) by name.
+is not exactly an int (`True == 1` and `1.0 == 1`) by name. Vector entries
+are not scanned as they arrive: when masking a vector or a chain step
+raises, or a chain value is not exactly an int, the position's mask and
+received vectors are scanned, and the error names the share distribution
+or masked vector that carried the first entry that is not an int.
 
-A position computes with the mask, share and mask id its share
-distribution carried. The TTP's masks live only while `start` spawns
+A position computes with the mask and share its share distribution
+carried. `start` builds one meta record per mask, its id and the subject
+it masks; the share distribution carries it, and the position forwards
+that same object with each of its broadcasts, so the engine reads no meta
+field. The TTP's masks live only while `start` spawns
 the instance's children: each child's collapsed mask product, the TTP's
 own knowledge, is built then, before the child starts.
 """
@@ -314,6 +321,24 @@ def _integer(inst: ProtocolInstance, msg, field: str) -> int:
     return x
 
 
+def _non_int_entry(inst: ProtocolInstance, i: int, pos: _Position):
+    """The error for the first vector entry of position i that is not
+    exactly an int: in its mask, else in a masked vector it received, in
+    position order. It names the message that carried the entry. Its own
+    vector and every scalar are exact ints, so a step that went wrong
+    always finds one; the last line only names the step if none is found."""
+    for x in pos.mask:
+        if type(x) is not int:
+            problem = f"mask entry {x} is not an integer"
+            return _rejected(inst.instance_id, _SHARE, i, problem)
+    for j, values in sorted(pos.masked.items()):
+        for x in values:
+            if type(x) is not int:
+                problem = f"values entry {x} from position {j} is not an integer"
+                return _rejected(inst.instance_id, _MASKED, i, problem)
+    return _rejected(inst.instance_id, _CHAIN, i, "value is not an integer")
+
+
 class ProtocolEngine:
     """Drives every instance of one run over a shared network."""
 
@@ -362,17 +387,19 @@ class ProtocolEngine:
         inst.positions[0].output_mask = self.rng.element(self.ring)
         first = self.next_mask_id
         self.next_mask_id = first + m
-        # one int per id, shared by the share, the broadcast and every subject
+        # one int per id, shared by the meta record and every subject
         ids = list(range(first, first + m))
         send, iid = self.net.send, inst.instance_id
         for i, pos in enumerate(inst.positions, start=1):
+            # mask i's one meta record: the share and all m-1 broadcasts of
+            # position i carry this object
             send(
                 ttp,
                 pos.owner,
                 iid,
                 _SHARE,
                 {"to_pos": i, "mask": masks[i - 1], "share": shares[i - 1]},
-                {"mask_id": ids[i - 1]},
+                {"mask_id": ids[i - 1], "subject": pos.subject},
             )
         plan = enumerate_sub_instances(m)
         if plan:
@@ -449,18 +476,21 @@ class ProtocolEngine:
             raise _rejected(inst.instance_id, msg.kind, i, problem)
         pos.share = _integer(inst, msg, "share")
         pos.mask = mask
-        self._send_masked(inst, i, pos, msg.meta["mask_id"])
+        self._send_masked(inst, i, pos, msg.meta)
         pos.waiting -= 1
         if not pos.waiting:
             self._chain(inst, i, pos)
 
     def _send_masked(
-        self, inst: ProtocolInstance, i: int, pos: _Position, mask_id: int
+        self, inst: ProtocolInstance, i: int, pos: _Position, meta: dict
     ) -> None:
-        """Broadcast position i's masked vector, with its mask's id, to every
-        other position; all recipients share one immutable entries tuple."""
-        values = _add(pos.vector, pos.mask, self.ring)
-        meta = {"mask_id": mask_id, "subject": pos.subject}
+        """Broadcast position i's masked vector to every other position, with
+        the meta record its share distribution carried; all recipients share
+        one immutable entries tuple and that one record."""
+        try:
+            values = _add(pos.vector, pos.mask, self.ring)
+        except (TypeError, OverflowError):
+            raise _non_int_entry(inst, i, pos) from None
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
@@ -498,13 +528,22 @@ class ProtocolEngine:
 
     def _chain(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
         """Position i's chain step, taken once it waits for nothing more.
-        Position 1 opens the chain with the output mask `start` drew. The
-        masked vectors are freed once the step is sent."""
+        Position 1 opens the chain with the output mask `start` drew. A
+        value that is not exactly an int, or a kernel that raises, is
+        rejected by the vector entry behind it. The masked vectors are freed
+        once the step is sent."""
         ring, masked = self.ring, pos.masked.values()
-        if i == 1:
-            value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
-        else:
-            value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
+        try:
+            if i == 1:
+                value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
+            else:
+                value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
+        except (TypeError, OverflowError):
+            raise _non_int_entry(inst, i, pos) from None
+        # every scalar is an int by now, so only a vector entry can make the
+        # value something else
+        if type(value) is not int:
+            raise _non_int_entry(inst, i, pos)
         pos.masked = None
         nxt = i % inst.m + 1
         self.net.send(

@@ -9,9 +9,9 @@ projected out after the run.
 The `meta` sidecar on a message carries mask/share identifiers so that
 invariants can be checked without parsing payload semantics. Adversary
 arithmetic must only use values that actually appear in a party's view;
-meta exists for the analysis harness. The engine reads one meta field: a
-position takes its mask id from the `ShareDistribution` it received and
-echoes it into the meta of its masked broadcast.
+meta exists for the analysis harness. The engine reads no meta field: a
+position forwards its share's meta record, as the same object, as the
+meta of each of its masked broadcasts.
 """
 
 from __future__ import annotations
@@ -116,12 +116,15 @@ class Transcript(list):
         separators=(",", ":"))`, which stays the reference. No record dict
         is built: `_LINE` is the record's envelope with its keys already in
         sorted order. The party names and kinds are encoded once per export,
-        `seq` and `instance` are written as int text when their type is
-        exactly `int`, and every other field value goes through one encoder
-        with the settings `dumps` would use: the C encoder where `_json` is
-        present, else `JSONEncoder.encode`. Its `markers` dict is fresh per
-        export, so the circular-reference check stays, and `default` raises
-        the same `TypeError`."""
+        and so is each meta object, keyed by identity: messages that carry
+        one meta object share its text, and equal but distinct metas (an
+        imported transcript's) are each encoded. `seq` and `instance` are
+        written as int text when their type is exactly `int`, and every
+        other field value goes through one encoder with the settings `dumps`
+        would use: the C encoder where `_json` is present, else
+        `JSONEncoder.encode`. Its `markers` dict is fresh per export, so the
+        circular-reference check stays, and `default` raises the same
+        `TypeError`."""
         dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
         if c_make_encoder is None:
             encode = dumps.encode
@@ -137,12 +140,16 @@ class Transcript(list):
 
         names = _Memo(lambda party: encode(str(party)))
         kinds = _Memo(lambda kind: encode(kind.value))
+        # id(meta) -> its text; the transcript keeps every meta alive while
+        # this runs, so no id is reused
+        metas = {}
         return "\n".join([
             _LINE % (
                 names[m.sender],
                 i if type(i := m.instance_id) is int else encode(i),
                 kinds[m.kind],
-                encode(m.meta),
+                metas[k] if (k := id(m.meta)) in metas
+                else metas.setdefault(k, encode(m.meta)),
                 encode(m.payload),
                 s if type(s := m.seq) is int else encode(s),
                 names[m.recipient],

@@ -7,6 +7,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy
 import pytest
 
 import npscalar.protocol
@@ -190,6 +191,26 @@ class TestCompletionAndStructure:
                     products += 1
             assert (products > 0) == (n > 2)
             assert scan_mask_freshness(run.transcript) == []
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_meta_record_per_mask(self, n, policy):
+        """A share distribution's meta is `{"mask_id", "subject"}`, and it
+        is the very object every broadcast of its position carries."""
+        run = run_protocol(random_vectors(n, 2, n), seed=n, policy=policy)
+        metas = {}  # (instance id, position) -> the share's meta
+        for m in run.transcript:
+            if m.kind is MessageKind.SHARE_DISTRIBUTION:
+                assert set(m.meta) == {"mask_id", "subject"}
+                metas[m.instance_id, m.payload["to_pos"]] = m.meta
+        sent = Counter()
+        for m in run.transcript:
+            if m.kind is MessageKind.MASKED_MATRIX:
+                key = (m.instance_id, m.payload["from_pos"])
+                assert m.meta is metas[key]
+                sent[key] += 1
+        sizes = _sizes(run)
+        assert sent == {key: sizes[key[0]] - 1 for key in metas}
 
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
@@ -1072,6 +1093,97 @@ class TestMisrouteRejection:
         assert error == f"{_named(msg)} {problem.format(**msg.payload)}"
 
 
+def _top_to(kind, to_pos):
+    return _top(lambda msg: msg.kind is kind and msg.payload["to_pos"] == to_pos)
+
+
+# case -> (kind, to_pos, field, first entry -> new first entry,
+# {modulus: expected problem}); `{entry}` is the new first entry
+NON_INT_ENTRIES = {
+    "mask-float": (
+        MessageKind.SHARE_DISTRIBUTION, 1, "mask", lambda x: 1.5,
+        {
+            1 << 64: "ShareDistribution at position 1: mask entry 1.5",
+            # `%` by a prime takes a float, so it rides in the masked vector
+            251: "MaskedMatrixBroadcast at position 2: values entry 2.5 "
+            "from position 1",
+        },
+    ),
+    "mask-str": (
+        MessageKind.SHARE_DISTRIBUTION, 1, "mask", lambda x: "x",
+        {
+            1 << 64: "ShareDistribution at position 1: mask entry x",
+            251: "ShareDistribution at position 1: mask entry x",
+        },
+    ),
+    "mask-numpy": (
+        # `and_` by 2**64 - 1 overflows numpy's int64
+        MessageKind.SHARE_DISTRIBUTION, 2, "mask", lambda x: numpy.int64(5),
+        {1 << 64: "ShareDistribution at position 2: mask entry 5"},
+    ),
+    "values-float": (
+        MessageKind.MASKED_MATRIX, 2, "values", lambda x: x + 0.5,
+        {
+            1 << 64: "MaskedMatrixBroadcast at position 2: values entry {entry} "
+            "from position 1",
+            251: "MaskedMatrixBroadcast at position 2: values entry {entry} "
+            "from position 1",
+        },
+    ),
+    "values-float-closing": (
+        MessageKind.MASKED_MATRIX, 1, "values", lambda x: x + 0.5,
+        {
+            1 << 64: "MaskedMatrixBroadcast at position 1: values entry {entry} "
+            "from position 2",
+            251: "MaskedMatrixBroadcast at position 1: values entry {entry} "
+            "from position 2",
+        },
+    ),
+    "values-str": (
+        # at 2**64, `int * str` is still reached (ROADMAP item 8)
+        MessageKind.MASKED_MATRIX, 2, "values", lambda x: "x",
+        {251: "MaskedMatrixBroadcast at position 2: values entry x from position 1"},
+    ),
+}
+
+
+class TestNonIntegerEntries:
+    """A vector entry that is not exactly an int is rejected by the message
+    that carried it to the position whose step it breaks: a mask entry when
+    the masked vector is formed, a received one when the chain step's value
+    is not an int or its kernel raises. n=3, seed 7; a float mask entry
+    survives `%` by 251, so its masked vector is named at a receiver."""
+
+    @pytest.mark.parametrize(
+        "case,modulus",
+        [(c, q) for c, spec in NON_INT_ENTRIES.items() for q in spec[-1]],
+        ids=[
+            f"{c}-{'2**64' if q == 1 << 64 else q}"
+            for c, spec in NON_INT_ENTRIES.items()
+            for q in spec[-1]
+        ],
+    )
+    def test_non_int_entry_names_its_message(self, case, modulus, monkeypatch):
+        kind, to_pos, field, rewrite, expected = NON_INT_ENTRIES[case]
+
+        def value(msg):
+            first, *rest = msg.payload[field]
+            return (rewrite(first), *rest)
+
+        nets = []
+
+        def network():
+            nets.append(MisroutingNetwork(_top_to(kind, to_pos), field, value))
+            return nets[-1]
+
+        monkeypatch.setattr(npscalar.protocol, "Network", network)
+        with pytest.raises(ProtocolStateError) as err:
+            run_protocol([(1, 2), (3, 4), (5, 6)], seed=7, modulus=modulus)
+        entry = nets[0].misrouted.payload[field][0]
+        problem = expected[modulus].format(entry=entry)
+        assert str(err.value) == f"instance 0: {problem} is not an integer"
+
+
 class TestTamperedShare:
     """A position computes from the share distribution it received. A
     share altered in transit therefore moves the result by (m - 1) times
@@ -1112,11 +1224,11 @@ class TestGoldenTranscripts:
         "n,length,seed,policy,digest",
         [
             (2, 3, 1, Policy.SECURE,
-             "67163f8e652fb9aec1d2497d484d920e7220a34233c5df4f2bf35c20c6f4aeb2"),
+             "61db33ed831a1f51e6c5262ddef4958986da82da5f976a4a3fc2e80ef877fb5c"),
             (3, 2, 7, Policy.FLAWED,
-             "99d0f3492b74f851c1a7e8b9d57e148b0734e9d6da43d2b440f025dfab573e1b"),
+             "5ecb1cb91a748b819a1a1ee39c7e1444f96256a711099afe1dec53e69e8dff9d"),
             (4, 4, 3, Policy.SECURE,
-             "0a92a1064c5eeb91304a15e907b894949ddeb105fa38a73d044de1b4ce0ea2f7"),
+             "8a6fde301d5419020c71c55da0971027321dbcfa53e7c92ec76f06b74c70d95c"),
         ],
         # the digest stays out of the test id, so a re-pin keeps the name
         ids=["2-3-1-Policy.SECURE", "3-2-7-Policy.FLAWED", "4-4-3-Policy.SECURE"],

@@ -183,6 +183,34 @@ class TestExportEncoder:
         with pytest.raises(ValueError, match="^Circular reference detected$"):
             _hand_built({"v": 0}, payload).export_jsonl()
 
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+    def test_messages_sharing_a_meta_object(self, c_encoder, monkeypatch):
+        """A meta object is encoded once per export; every message that
+        carries it, and an equal copy, still exports the reference bytes."""
+        if not c_encoder:
+            monkeypatch.setattr(simnet, "c_make_encoder", None)
+        one = {"mask_id": 3, "subject": {"kind": "prod", "masks": (0, 2)}}
+        other = {"mask_id": 4, "subject": {"kind": "input", "party": "p1"}}
+        transcript = _hand_built(
+            *({"v": v} for v in range(5)), metas=[one, other, one, dict(one), one]
+        )
+        assert transcript.export_jsonl() == _stdlib_export(transcript)
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+    @pytest.mark.parametrize("bad", ["unserialisable", "circular"])
+    def test_shared_bad_meta_raises_same_error(self, bad, c_encoder, monkeypatch):
+        if not c_encoder:
+            monkeypatch.setattr(simnet, "c_make_encoder", None)
+        meta = {"v": {1, 2}} if bad == "unserialisable" else {}
+        if bad == "circular":
+            meta["self"] = meta
+        transcript = _hand_built({"v": 1}, {"v": 2}, metas=[meta, meta])
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _stdlib_export(transcript)
+        with pytest.raises(type(expected.value)) as got:
+            transcript.export_jsonl()
+        assert str(got.value) == str(expected.value)
+
     def test_fallback_without_c_encoder(self, monkeypatch):
         run = run_protocol([(1, 2), (3, 4), (5, 6)], seed=4)
         fast = run.transcript.export_jsonl()
