@@ -360,7 +360,7 @@ def masked_samples(value: int, count: int, modulus: int, seed: int) -> list[int]
     """`count` maskings of one fixed value under fresh masks drawn by the
     engine's draw rule."""
     rng, ring = Rng(seed), Ring(modulus)
-    return [(value + rng.element(ring)) % modulus for _ in range(count)]
+    return [(value + mask) % modulus for mask in rng.vector(ring, count)]
 
 
 def uniformity_pvalue(samples: Sequence[int], modulus: int) -> float:

@@ -113,9 +113,7 @@ def cmd_attack_demo(args) -> int:
         if policy is Policy.SECURE:
             guesses = analysis.forced_guess_inputs(view)
             mismatches = sum(g != truth[p] for p, g in guesses.items())
-            lines.append(
-                f"  forced-guess mismatches: {mismatches}/{len(guesses)}"
-            )
+            lines.append(f"  forced-guess mismatches: {mismatches}/{len(guesses)}")
             secure_holds = not recovered and mismatches == len(guesses) > 0
         else:
             flawed_full = recovered == truth
@@ -131,9 +129,7 @@ def cmd_count(args) -> int:
     lines = ["n direct-children total-instances messages"]
     for n in range(args.min, args.max + 1):
         c = analysis.count_instances(n)
-        lines.append(
-            f"{c.n} {c.direct_children} {c.total_instances} {c.messages}"
-        )
+        lines.append(f"{c.n} {c.direct_children} {c.total_instances} {c.messages}")
     print(*lines, sep="\n")
     return 0
 

@@ -138,9 +138,4 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
 
-    return RunConfig(
-        parties=parties,
-        modulus=modulus,
-        seed=seed,
-        policy=policy,
-    )
+    return RunConfig(parties=parties, modulus=modulus, seed=seed, policy=policy)

@@ -54,32 +54,33 @@ same messages, and only their seqs and order move. A sub-instance leaves
 instances and unstarted groups are live, and a message for a released
 instance is rejected as one for no such instance.
 
-Every message follows one contract. Its payload names the position it
-goes to as `to_pos`, and a masked vector or chain value, whose sending
-position varies, names that position as `from_pos`; the sender of every
-other kind is fixed by the kind (the TTP, a child's position 1, or
-position 1). Every handler starts with one route check: `to_pos` is an
-int position of the instance, owned by the recipient, and the sender is
-the party the protocol expects. A sub-result names its child by instance
-id only: a parent's children have consecutive ids in plan order, so the
-id gives the child's kept positions and coefficient. The chain is one
-ring: position j takes exactly one chain value, from the position before
-it (m before 1), and position 1's is the closing value. A final result
-carries the published one. A repeated message is rejected as a
-duplicate, one that never came as missing, and a position or scalar that
-is not exactly an int (`True == 1` and `1.0 == 1`) by name. Vector entries
-are not scanned as they arrive: when masking a vector or a chain step
-raises, or a chain value is not exactly an int, the position's mask and
-received vectors are scanned, and the error names the share distribution
-or masked vector that carried the first entry that is not an int.
+Every message follows one contract. Its payload names the position it goes
+to as `to_pos`, and a masked vector or chain value, whose sending position
+varies, names that position as `from_pos`; the sender of every other kind
+is fixed by the kind (the TTP, a child's position 1, or position 1). Every
+handler starts with one route check: `to_pos` is an int position of the
+instance, owned by the recipient, and the sender is the party the protocol
+expects. A sub-result names its child by instance id only: a parent's
+children have consecutive ids in plan order, so the id gives the child's
+kept positions and coefficient. The chain is one ring: position j takes
+exactly one chain value, from the position before it (m before 1), and
+position 1's is the closing value. A final result carries the published
+one. A repeated message is rejected as a duplicate, one that never came as
+missing, and a payload field that is missing, or a position or scalar that
+is not exactly an int (`True == 1` and `1.0 == 1`), by name. Vector
+entries are not scanned as they arrive: when masking a vector or a chain
+step raises, or a chain value is not exactly an int, the position's mask
+and received vectors are scanned, and the error names the share
+distribution or masked vector that carried the first entry that is not an
+int; if every entry is an int, the kernel's own error propagates.
 
 A position computes with the mask and share its share distribution
 carried. `start` builds one meta record per mask, its id and the subject
 it masks; the share distribution carries it, and the position forwards
 that same object with each of its broadcasts, so the engine reads no meta
-field. The TTP's masks live only while `start` spawns
-the instance's children: each child's collapsed mask product, the TTP's
-own knowledge, is built then, before the child starts.
+field. The TTP's masks live only while `start` spawns the instance's
+children: each child's collapsed mask product, the TTP's own knowledge, is
+built then, before the child starts.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ _MASKED = MessageKind.MASKED_MATRIX
 _CHAIN = MessageKind.CHAIN_VALUE
 _SUB = MessageKind.SUB_RESULT
 _FINAL = MessageKind.FINAL_RESULT
+_FIELDS = frozenset(("to_pos", "from_pos", "mask", "share", "values", "value", "child"))
 
 
 @functools.cache
@@ -325,8 +327,8 @@ def _non_int_entry(inst: ProtocolInstance, i: int, pos: _Position):
     """The error for the first vector entry of position i that is not
     exactly an int: in its mask, else in a masked vector it received, in
     position order. It names the message that carried the entry. Its own
-    vector and every scalar are exact ints, so a step that went wrong
-    always finds one; the last line only names the step if none is found."""
+    vector and every scalar are exact ints, so a step that went wrong on
+    its inputs always finds one; None if every entry is an int."""
     for x in pos.mask:
         if type(x) is not int:
             problem = f"mask entry {x} is not an integer"
@@ -336,7 +338,6 @@ def _non_int_entry(inst: ProtocolInstance, i: int, pos: _Position):
             if type(x) is not int:
                 problem = f"values entry {x} from position {j} is not an integer"
                 return _rejected(inst.instance_id, _MASKED, i, problem)
-    return _rejected(inst.instance_id, _CHAIN, i, "value is not an integer")
 
 
 class ProtocolEngine:
@@ -383,8 +384,9 @@ class ProtocolEngine:
             # share, m-1 masked vectors and the previous chain value
             pos.waiting = m + 1
         inst.positions[0].waiting = m  # position 1 opens the chain
-        masks, shares = generate_share_bundles(m, inst.length, self.ring, self.rng)
-        inst.positions[0].output_mask = self.rng.element(self.ring)
+        masks, shares, inst.positions[0].output_mask = generate_share_bundles(
+            m, inst.length, self.ring, self.rng
+        )
         first = self.next_mask_id
         self.next_mask_id = first + m
         # one int per id, shared by the meta record and every subject
@@ -462,7 +464,16 @@ class ProtocolEngine:
             raise _rejected(
                 msg.instance_id, msg.kind, msg.payload.get("to_pos"), "no such instance"
             ) from None
-        self._HANDLERS[msg.kind](self, inst, msg)
+        try:
+            self._HANDLERS[msg.kind](self, inst, msg)
+        except KeyError as exc:
+            # a payload field a handler reads (`_FIELDS`) that the message
+            # lacks is the message's fault; any other lookup is the engine's
+            field = exc.args[0] if exc.args else None
+            if field not in _FIELDS or field in msg.payload:
+                raise
+            to_pos, problem = msg.payload.get("to_pos"), f"payload has no {field}"
+            raise _rejected(inst.instance_id, msg.kind, to_pos, problem) from None
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = _receiver(inst, msg)
@@ -489,8 +500,8 @@ class ProtocolEngine:
         one immutable entries tuple and that one record."""
         try:
             values = _add(pos.vector, pos.mask, self.ring)
-        except (TypeError, OverflowError):
-            raise _non_int_entry(inst, i, pos) from None
+        except (TypeError, OverflowError) as exc:
+            raise _non_int_entry(inst, i, pos) or exc from None
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
@@ -529,21 +540,21 @@ class ProtocolEngine:
     def _chain(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
         """Position i's chain step, taken once it waits for nothing more.
         Position 1 opens the chain with the output mask `start` drew. A
-        value that is not exactly an int, or a kernel that raises, is
-        rejected by the vector entry behind it. The masked vectors are freed
-        once the step is sent."""
+        kernel that raises (`int * str` can exhaust memory), or a value that
+        is not exactly an int, is rejected by the vector entry behind it, if
+        any. The masked vectors are freed once the step is sent."""
         ring, masked = self.ring, pos.masked.values()
         try:
             if i == 1:
                 value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
             else:
                 value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
-        except (TypeError, OverflowError):
-            raise _non_int_entry(inst, i, pos) from None
-        # every scalar is an int by now, so only a vector entry can make the
-        # value something else
-        if type(value) is not int:
-            raise _non_int_entry(inst, i, pos)
+            # every scalar is an int by now, so only a vector entry can make
+            # the value something else
+            if type(value) is not int:
+                raise TypeError(f"chain value {value!r} is not an integer")
+        except (TypeError, OverflowError, MemoryError) as exc:
+            raise _non_int_entry(inst, i, pos) or exc from None
         pos.masked = None
         nxt = i % inst.m + 1
         self.net.send(

@@ -1,4 +1,4 @@
-"""Trusted-initializer material: masks, additive shares, seedable randomness.
+"""Trusted-initializer material: masks, shares, output masks, seedable RNG.
 
 The generator here is a seeded Mersenne Twister, NOT a cryptographically
 secure RNG. This package is a protocol simulator: determinism and replay
@@ -19,25 +19,18 @@ from .ring import DEFAULT_MODULUS, Ring, product_trace
 class Rng:
     """Deterministic seeded randomness: same seed, same stream.
 
-    Draw rule. Over Z_2**64 an element is one `getrandbits(64)`, and a
-    vector of length L is one `getrandbits(64 * L)` split into L
-    little-endian 64-bit words, so entry j is bits [64 j, 64 j + 64) of the
-    draw. Over any other modulus every element is one `randrange(modulus)`,
-    whose rejection sampling is what makes a draw below a modulus that is
-    not a power of two exactly uniform.
-
-    Either way a vector of k entries equals k successive `element` draws
-    and leaves the same stream state: `getrandbits` consumes whole 32-bit
-    outputs, low word first.
+    Draw rule. Over Z_2**64 a vector of length L is one
+    `getrandbits(64 * L)` split into L little-endian 64-bit words, so entry
+    j is bits [64 j, 64 j + 64) of the draw. Over any other modulus every
+    entry is one `randrange(modulus)`, whose rejection sampling is what
+    makes a draw below a modulus that is not a power of two exactly
+    uniform. Either way `vector(a + b)` equals `vector(a)` followed by
+    `vector(b)`, and leaves the same stream state: `getrandbits` consumes
+    whole 32-bit outputs, low word first.
     """
 
     def __init__(self, seed: int):
         self._r = random.Random(seed)
-
-    def element(self, ring: Ring) -> int:
-        if ring.modulus == DEFAULT_MODULUS:
-            return self._r.getrandbits(64)
-        return self._r.randrange(ring.modulus)
 
     def vector(self, ring: Ring, length: int) -> tuple:
         """A tuple of `length` uniform draws below the modulus."""
@@ -51,18 +44,20 @@ class Rng:
 
 def generate_share_bundles(
     n: int, length: int, ring: Ring, rng: Rng
-) -> tuple[list[tuple], list[int]]:
-    """Fresh correlated randomness for an n-position instance, as
-    `(masks, shares)`: n uniform mask entry tuples, and n scalar shares
-    that additively split the trace of the product of all masks. One draw
-    gives the masks and the first n - 1 shares; the last completes the sum.
+) -> tuple[list[tuple], list[int], int]:
+    """All the randomness of an n-position instance, as
+    `(masks, shares, output_mask)`: n uniform mask entry tuples, n scalar
+    shares that additively split the trace of the product of all masks,
+    and position 1's uniform output mask. One draw of n * length + n
+    entries gives the masks, the first n - 1 shares and the output mask;
+    the last share completes the sum.
     """
     if n < 2:
         raise InstanceShapeError("share generation needs at least 2 positions")
     if length < 1:
         raise InstanceShapeError("vector length must be >= 1")
-    block = rng.vector(ring, n * length + n - 1)
+    block = rng.vector(ring, n * length + n)
     masks = [block[i : i + length] for i in range(0, n * length, length)]
-    shares = list(block[n * length :])
+    shares = list(block[n * length : -1])
     shares.append(ring.reduce(product_trace(masks, ring) - sum(shares)))
-    return masks, shares
+    return masks, shares, block[-1]

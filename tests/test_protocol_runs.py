@@ -21,6 +21,7 @@ from npscalar import (
     Policy,
     ProtocolStateError,
     Ring,
+    Rng,
     TtpAssignmentError,
     count_instances,
     enumerate_sub_instances,
@@ -211,6 +212,23 @@ class TestCompletionAndStructure:
                 sent[key] += 1
         sizes = _sizes(run)
         assert sent == {key: sizes[key[0]] - 1 for key in metas}
+
+    @pytest.mark.parametrize("modulus", [1 << 64, 251])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_draw_per_instance(self, n, modulus, monkeypatch):
+        """An instance draws all its randomness, m * (L + 1) entries, in one
+        `Rng` call when it starts."""
+        draws = []
+
+        class CountingRng(Rng):
+            def vector(self, ring, length):
+                draws.append(length)
+                return super().vector(ring, length)
+
+        monkeypatch.setattr(npscalar.protocol, "Rng", CountingRng)
+        run = run_protocol(random_vectors(n, 3, n, modulus), seed=n, modulus=modulus)
+        assert len(draws) == run.instance_count
+        assert sorted(draws) == sorted(m * 4 for m in _sizes(run).values())
 
     def test_children_strictly_smaller(self):
         run = run_protocol(random_vectors(5, 2, 0), seed=0)
@@ -759,8 +777,8 @@ class TestReadinessOrder:
 
 class MisroutingNetwork(Network):
     """Rewrites one field of the first delivered message that `pick`
-    selects to `value(msg)`: its sender, its recipient, its instance id or
-    a payload field."""
+    selects to `value(msg)`: its sender, its recipient, its instance id,
+    its whole payload or a payload field."""
 
     def __init__(self, pick, field, value):
         super().__init__()
@@ -772,13 +790,22 @@ class MisroutingNetwork(Network):
     def deliver_next(self):
         msg = super().deliver_next()
         if msg is not None and self.misrouted is None and self.pick(msg):
-            if self.field in ("sender", "recipient", "instance_id"):
+            if self.field in ("sender", "recipient", "instance_id", "payload"):
                 setattr(msg, self.field, self.value(msg))
             else:
                 msg.payload = {**msg.payload, self.field: self.value(msg)}
             self.misrouted = msg
         return msg
 
+
+# kind -> every payload field its handler reads
+PAYLOAD_FIELDS = {
+    MessageKind.SHARE_DISTRIBUTION: ("to_pos", "mask", "share"),
+    MessageKind.MASKED_MATRIX: ("from_pos", "to_pos", "values"),
+    MessageKind.CHAIN_VALUE: ("from_pos", "to_pos", "value"),
+    MessageKind.SUB_RESULT: ("to_pos", "child", "value"),
+    MessageKind.FINAL_RESULT: ("to_pos", "value"),
+}
 
 MISROUTES = {
     "ShareDistribution": (_of_kind(MessageKind.SHARE_DISTRIBUTION), "to_pos"),
@@ -1073,6 +1100,31 @@ class TestMisrouteRejection:
         assert error == f"{_named(msg)} no such instance"
 
     @pytest.mark.parametrize(
+        "kind,field",
+        [(kind, field) for kind, fields in PAYLOAD_FIELDS.items() for field in fields],
+        ids=[
+            f"{kind.value}-{field}"
+            for kind, fields in PAYLOAD_FIELDS.items()
+            for field in fields
+        ],
+    )
+    def test_missing_payload_field(self, kind, field, monkeypatch):
+        """A payload that lacks a field its handler reads is rejected by
+        the field's name; with no `to_pos`, the position is None."""
+        keys = []
+
+        def without(msg):
+            keys.append(set(msg.payload))
+            return {k: v for k, v in msg.payload.items() if k != field}
+
+        msg, error = self._run(monkeypatch, _of_kind(kind), "payload", without)
+        assert keys == [set(PAYLOAD_FIELDS[kind])]
+        position = msg.payload.get("to_pos")
+        assert error == (
+            f"instance 0: {kind.value} at position {position}: payload has no {field}"
+        )
+
+    @pytest.mark.parametrize(
         "kind,field,problem",
         [
             (MessageKind.SHARE_DISTRIBUTION, "mask", "1 mask entries, expected 2"),
@@ -1140,9 +1192,14 @@ NON_INT_ENTRIES = {
         },
     ),
     "values-str": (
-        # at 2**64, `int * str` is still reached (ROADMAP item 8)
+        # at 2**64, `int * str` repeats the str past memory in the chain's fold
         MessageKind.MASKED_MATRIX, 2, "values", lambda x: "x",
-        {251: "MaskedMatrixBroadcast at position 2: values entry x from position 1"},
+        {
+            1 << 64: "MaskedMatrixBroadcast at position 2: values entry x "
+            "from position 1",
+            251: "MaskedMatrixBroadcast at position 2: values entry x "
+            "from position 1",
+        },
     ),
 }
 
@@ -1182,6 +1239,32 @@ class TestNonIntegerEntries:
         entry = nets[0].misrouted.payload[field][0]
         problem = expected[modulus].format(entry=entry)
         assert str(err.value) == f"instance 0: {problem} is not an integer"
+
+    @pytest.mark.parametrize(
+        "boom",
+        [
+            MemoryError("kernel"),
+            TypeError("kernel"),
+            OverflowError("kernel"),
+            # no payload field the message lacks, so not the message's fault
+            KeyError(7),
+            KeyError("to_pos"),
+            KeyError("unknown"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("kernel", ["_add", "_trace"])
+    def test_kernel_error_on_int_entries_propagates(self, kernel, boom, monkeypatch):
+        """When every entry is an int, the scan finds nothing to blame, and
+        the kernel's own exception is raised unchanged."""
+
+        def failing(*args):
+            raise boom
+
+        monkeypatch.setattr(npscalar.protocol, kernel, failing)
+        with pytest.raises(type(boom)) as err:
+            run_protocol([(1, 2), (3, 4), (5, 6)], seed=7)
+        assert err.value is boom
 
 
 class TestTamperedShare:
@@ -1237,3 +1320,13 @@ class TestGoldenTranscripts:
         run = run_protocol(random_vectors(n, length, seed), seed=seed, policy=policy)
         exported = run.transcript.export_jsonl().encode()
         assert hashlib.sha256(exported).hexdigest() == digest
+
+    def test_transcript_hash_mod_251(self):
+        """Below a modulus that is not a power of two every entry is one
+        `randrange` draw; n=4, L=3, seed 5, FLAWED."""
+        vectors = random_vectors(4, 3, 5, 251)
+        run = run_protocol(vectors, seed=5, policy=Policy.FLAWED, modulus=251)
+        exported = run.transcript.export_jsonl().encode()
+        assert hashlib.sha256(exported).hexdigest() == (
+            "5b1dd5aacd400f36da5eea2790ac2833c1a9f8bcf356ac9725b784fb7a25307a"
+        )

@@ -189,6 +189,12 @@ def test_product_trace_rejects_empty_input():
         product_trace([], R64)
 
 
+@pytest.mark.parametrize("ring", [R64, R7])
+def test_constructor_rejects_empty_vector(ring):
+    with pytest.raises(InputShapeError, match="^vectors must have length >= 1$"):
+        ModVector([], ring)
+
+
 def test_constructor_rejects_non_integers():
     with pytest.raises(TypeError):
         ModVector([1.5], R7)

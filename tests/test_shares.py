@@ -29,36 +29,31 @@ class TestShareBundles:
         for modulus in MODULI:
             ring = Ring(modulus)
             for n, length, seed in [(2, 1, 0), (3, 4, 1), (5, 2, 2), (8, 16, 3)]:
-                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
+                masks, shares, _ = generate_share_bundles(n, length, ring, Rng(seed))
                 assert len(masks) == len(shares) == n
                 assert product_trace(masks, ring) == sum(shares) % modulus
 
     def test_masks_and_shares_are_one_draw_of_reduced_ints(self):
-        """The masks, then the first n - 1 shares, are one draw of
-        n * L + n - 1 entries."""
+        """The masks, the first n - 1 shares and the output mask are one
+        draw of n * L + n entries."""
         for modulus in MODULI:
             ring = Ring(modulus)
             for n, length, seed in [(2, 1, 0), (3, 4, 1), (6, 16, 2)]:
-                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
+                rng = Rng(seed)
+                masks, shares, output_mask = generate_share_bundles(
+                    n, length, ring, rng
+                )
                 for mask in masks:
                     assert len(mask) == length
                     assert all(type(x) is int and 0 <= x < modulus for x in mask)
                 assert all(type(x) is int and 0 <= x < modulus for x in shares)
-                drawn = Rng(seed).vector(ring, n * length + n - 1)
-                assert (*itertools.chain.from_iterable(masks), *shares[:-1]) == drawn
-
-    def test_draw_equals_masks_then_element_draws(self):
-        """The one draw keeps the stream of a mask vector followed by n - 1
-        `element` draws for the uniform shares."""
-        for modulus in MODULI:
-            ring = Ring(modulus)
-            for n, length, seed in [(2, 1, 0), (3, 4, 1), (6, 16, 2)]:
-                masks, shares = generate_share_bundles(n, length, ring, Rng(seed))
-                rng = Rng(seed)
-                block = rng.vector(ring, n * length)
-                uniform = [rng.element(ring) for _ in range(n - 1)]
-                assert tuple(itertools.chain.from_iterable(masks)) == block
-                assert shares[:-1] == uniform
+                assert type(output_mask) is int and 0 <= output_mask < modulus
+                other = Rng(seed)
+                drawn = other.vector(ring, n * length + n)
+                assert (
+                    *itertools.chain.from_iterable(masks), *shares[:-1], output_mask
+                ) == drawn
+                assert rng.vector(ring, 3) == other.vector(ring, 3)
 
     def test_share_sum_identity_random_grid(self):
         r = random.Random(2024)
@@ -66,7 +61,7 @@ class TestShareBundles:
             n = r.randint(2, 8)
             length = r.randint(1, 16)
             ring = r.choice([R64, R7, Ring(251)])
-            masks, shares = generate_share_bundles(
+            masks, shares, _ = generate_share_bundles(
                 n, length, ring, Rng(r.randrange(2**32))
             )
             assert sum(shares) % ring.modulus == product_trace(masks, ring)
@@ -77,9 +72,10 @@ class TestShareBundles:
         assert a == b
 
     def test_bundles_are_immutable(self):
-        masks, shares = generate_share_bundles(3, 2, R64, Rng(0))
+        masks, shares, output_mask = generate_share_bundles(3, 2, R64, Rng(0))
         assert [type(mask) for mask in masks] == [tuple] * 3
         assert [type(share) for share in shares] == [int] * 3
+        assert type(output_mask) is int
 
     def test_rejects_tiny_instances(self):
         with pytest.raises(InstanceShapeError):
@@ -91,8 +87,12 @@ class TestShareBundles:
 
 def test_rng_streams_are_reproducible():
     a, b = Rng(123), Rng(123)
-    assert [a.element(R64) for _ in range(10)] == [b.element(R64) for _ in range(10)]
-    assert a.vector(R7, 5) == b.vector(R7, 5)
+    for ring, length in [(R64, 1), (R64, 10), (R7, 5)]:
+        assert a.vector(ring, length) == b.vector(ring, length)
+
+
+def test_rng_has_one_draw_method():
+    assert [name for name in vars(Rng) if not name.startswith("_")] == ["vector"]
 
 
 class CountingRandom(random.Random):
@@ -124,14 +124,6 @@ class TestDrawRule:
         )
         assert rng._r.calls == [64 * length]
 
-    def test_r64_element_is_one_64_bit_draw(self):
-        rng = counting_rng(5)
-        assert [rng.element(R64) for _ in range(3)] == [
-            random.Random(5).getrandbits(192) >> (64 * j) & (R64.modulus - 1)
-            for j in range(3)
-        ]
-        assert rng._r.calls == [64, 64, 64]
-
     def test_other_moduli_keep_the_randrange_stream(self):
         assert Rng(5).vector(R7, 12) == (4, 2, 5, 2, 6, 5, 6, 5, 5, 4, 0, 6)
         r = random.Random(9)
@@ -139,9 +131,19 @@ class TestDrawRule:
             r.randrange(251) for _ in range(8)
         )
 
+    @pytest.mark.parametrize("modulus", [1 << 64, 251])
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (4, 1), (3, 7), (64, 65)])
+    def test_draws_split_anywhere_keep_the_stream(self, modulus, a, b):
+        """`vector(a + b)` equals `vector(a)` followed by `vector(b)`, and
+        leaves the stream where the two draws leave it."""
+        ring = Ring(modulus)
+        whole, split = Rng(a * 100 + b), Rng(a * 100 + b)
+        first = split.vector(ring, a)
+        assert whole.vector(ring, a + b) == first + split.vector(ring, b)
+        assert whole.vector(ring, 9) == split.vector(ring, 9)
+
     def test_r64_low_and_high_bytes_are_uniform(self):
-        rng = Rng(2024)
-        draws = [*rng.vector(R64, 10_000), *(rng.element(R64) for _ in range(10_000))]
+        draws = Rng(2024).vector(R64, 20_000)
         for byte in ([d & 0xFF for d in draws], [d >> 56 for d in draws]):
             assert uniformity_pvalue(byte, 256) > 1e-3
 
@@ -160,5 +162,5 @@ class TestBatchedMaskDraw:
         block = batched.vector(ring, m * length)
         masks = [single.vector(ring, length) for _ in range(m)]
         assert block == tuple(itertools.chain.from_iterable(masks))
-        assert batched.element(ring) == single.element(ring)
+        assert batched.vector(ring, 1) == single.vector(ring, 1)
         assert generate_share_bundles(m, length, ring, Rng(seed))[0] == masks
