@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputShapeError, InstanceShapeError
 from .protocol import Policy
-from .ring import DEFAULT_MODULUS
+from .ring import DEFAULT_MODULUS, ModVector, Ring
 
 
 # The largest modulus, in bits. Every modulus and every result then prints
@@ -79,7 +79,8 @@ class RunConfig:
 
     @property
     def vectors(self) -> list:
-        return [tuple(e % self.modulus for e in vec) for _, vec in self.parties]
+        ring = Ring(self.modulus)
+        return [ModVector(vec, ring).entries for _, vec in self.parties]
 
 
 def parse_config(text: str) -> RunConfig:

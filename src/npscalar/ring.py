@@ -10,24 +10,29 @@ is supported so statistical tests can exercise the full ring.
 
 Reduction rule. Each `Ring` picks its reduction once, as a pair
 `(op, k)` with `op(x, k) == x % modulus` for every Python int x. For a
-power-of-two modulus it is `(operator.and_, modulus - 1)`; otherwise it is
-`(operator.mod, modulus)`. The mask is exact because a Python int behaves
-as an infinite two's-complement bit string: `x & (2**b - 1)` keeps the low
-b bits, which is the unique residue in [0, 2**b), negative x included.
-Masking touches only the low digits of x, where `%` by 2**64 runs long
-division, and both ops are C functions that `map` calls directly.
+power-of-two modulus it is `(operator.and_, modulus - 1)`; otherwise it
+is `(int.__mod__, modulus)`, which, unlike `operator.mod`, raises
+`TypeError` on a float or a numpy int, as the mask does. The mask is
+exact because a Python int behaves as an infinite two's-complement bit
+string: `x & (2**b - 1)` keeps the low b bits, which is the unique residue
+in [0, 2**b), negative x included. Masking touches only the low digits of
+x, where `%` by 2**64 runs long division, and both ops are C functions
+that `map` calls directly.
 
 A `ModVector`'s entries are always a non-empty tuple of Python ints in
-[0, modulus). The public constructor establishes that by reducing every
-entry. The private `ModVector._reduced(entries, ring)` trusts its caller:
-it stores the tuple as given, with no copy, no reduction and no length
-check. Its callers pass a tuple reduced by construction: a kernel's
-result, or, in `ProtocolEngine.start`, an instance's mask, a slice of one
-uniform draw below the modulus, wrapped once for the collapse of the
-instance's children. Entries are immutable, so such a tuple can be shared
-between vectors and message payloads. The private kernels `_add` and
-`_trace` take entry sequences of one length, checked by their caller;
-the engine keeps every vector as an entry tuple.
+[0, modulus). The public constructor establishes that by checking once:
+`operator.index` returns an exact int itself (and an exact-int copy of a
+bool or numpy int), so entries already in range stay the caller's own
+objects, and the tuple is reduced only when its `min` or `max` falls
+outside [0, modulus). The private `ModVector._reduced(entries, ring)`
+trusts its caller: it stores the tuple as given, with no copy, no
+reduction and no length check. Its callers pass a tuple reduced by
+construction: a kernel's result, or, in `ProtocolEngine.start`, an
+instance's mask, a slice of one uniform draw below the modulus, wrapped
+once for the collapse of the instance's children. Entries are immutable,
+so such a tuple can be shared between vectors and message payloads. The
+private kernels `_add` and `_trace` take entry sequences of one length,
+checked by their caller; the engine keeps every vector as an entry tuple.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class Ring:
         m = self.modulus
         if m < 2:
             raise ValueError("modulus must be at least 2")
-        pair = (operator.and_, m - 1) if m & (m - 1) == 0 else (operator.mod, m)
+        pair = (operator.and_, m - 1) if m & (m - 1) == 0 else (int.__mod__, m)
         object.__setattr__(self, "_reduction", pair)
 
     def reduce(self, x: int) -> int:
@@ -66,11 +71,14 @@ class ModVector:
     __slots__ = ("entries", "ring")
 
     def __init__(self, entries: Iterable[int], ring: Ring):
-        op, k = ring._reduction
-        self.entries = tuple(map(op, map(operator.index, entries), repeat(k)))
-        self.ring = ring
-        if not self.entries:
+        entries = tuple(map(operator.index, entries))
+        if not entries:
             raise InputShapeError("vectors must have length >= 1")
+        if min(entries) < 0 or max(entries) >= ring.modulus:
+            op, k = ring._reduction
+            entries = tuple(map(op, entries, repeat(k)))
+        self.entries = entries
+        self.ring = ring
 
     @classmethod
     def _reduced(cls, entries: tuple, ring: Ring) -> "ModVector":

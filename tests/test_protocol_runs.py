@@ -79,6 +79,16 @@ class TestEndToEnd:
         run = run_protocol(vectors, modulus=251, seed=4)
         assert run.result == plaintext_oracle(vectors, Ring(251))
 
+    @pytest.mark.parametrize("modulus", [1 << 64, (1 << 61) - 1], ids=["2^64", "2^61-1"])
+    def test_inputs_in_range_are_the_callers_ints(self, modulus):
+        """A party's recorded input holds the caller's own int objects: the
+        engine checks entries already in the ring and does not rebuild them."""
+        vectors = random_vectors(3, 4, seed=5, modulus=modulus)
+        run = run_protocol(vectors, modulus=modulus, seed=1)
+        for party, vec in zip(run.data_parties, vectors):
+            (record,) = run.view_of(party).own_inputs
+            assert all(e is x for e, x in zip(record["values"], vec, strict=True))
+
 
 def _sizes(run):
     """Instance id -> number of positions: one share distribution each."""
@@ -1156,9 +1166,7 @@ NON_INT_ENTRIES = {
         MessageKind.SHARE_DISTRIBUTION, 1, "mask", lambda x: 1.5,
         {
             1 << 64: "ShareDistribution at position 1: mask entry 1.5",
-            # `%` by a prime takes a float, so it rides in the masked vector
-            251: "MaskedMatrixBroadcast at position 2: values entry 2.5 "
-            "from position 1",
+            251: "ShareDistribution at position 1: mask entry 1.5",
         },
     ),
     "mask-str": (
@@ -1169,9 +1177,12 @@ NON_INT_ENTRIES = {
         },
     ),
     "mask-numpy": (
-        # `and_` by 2**64 - 1 overflows numpy's int64
+        # `and_` by 2**64 - 1 overflows numpy's int64; `int.__mod__` refuses it
         MessageKind.SHARE_DISTRIBUTION, 2, "mask", lambda x: numpy.int64(5),
-        {1 << 64: "ShareDistribution at position 2: mask entry 5"},
+        {
+            1 << 64: "ShareDistribution at position 2: mask entry 5",
+            251: "ShareDistribution at position 2: mask entry 5",
+        },
     ),
     "values-float": (
         MessageKind.MASKED_MATRIX, 2, "values", lambda x: x + 0.5,
@@ -1208,8 +1219,7 @@ class TestNonIntegerEntries:
     """A vector entry that is not exactly an int is rejected by the message
     that carried it to the position whose step it breaks: a mask entry when
     the masked vector is formed, a received one when the chain step's value
-    is not an int or its kernel raises. n=3, seed 7; a float mask entry
-    survives `%` by 251, so its masked vector is named at a receiver."""
+    is not an int or its kernel raises. n=3, seed 7."""
 
     @pytest.mark.parametrize(
         "case,modulus",

@@ -143,11 +143,20 @@ class TestKernelsMatchPerEntryReference:
 
     @given(
         modulus=st.sampled_from(MODULI),
-        xs=st.lists(st.integers(min_value=-(1 << 130), max_value=1 << 130), min_size=1),
+        xs=st.lists(
+            st.one_of(
+                st.integers(min_value=-(1 << 130), max_value=1 << 130),
+                st.booleans(),
+                st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1).map(numpy.int64),
+            ),
+            min_size=1,
+        ),
     )
     def test_constructor_reduces_any_int(self, modulus, xs):
+        """Negative, out-of-range, bool and numpy entries, alone or mixed
+        with in-range ones, give exact reduced ints."""
         got = ModVector(xs, Ring(modulus)).entries
-        assert got == tuple(x % modulus for x in xs)
+        assert got == tuple(int(x) % modulus for x in xs)
         assert all(type(e) is int for e in got)
 
 
@@ -206,9 +215,23 @@ def test_entries_reduced_on_construction():
 
 def test_booleans_reduce_to_exact_ints():
     for m in (2, 7, 1 << 16):
-        entries = ModVector([True, False], Ring(m)).entries
-        assert entries == (1, 0)
-        assert all(type(e) is int for e in entries)
+        # in range, so kept, and mixed with entries that need reducing
+        for xs, want in [([True, False], (1, 0)), ([True, m, False, -1], (1, 0, 0, m - 1))]:
+            entries = ModVector(xs, Ring(m)).entries
+            assert entries == want
+            assert all(type(e) is int for e in entries)
+
+
+@pytest.mark.parametrize(
+    "modulus", [1 << 64, 7, (1 << 61) - 1], ids=["2^64", "7", "2^61-1"]
+)
+def test_in_range_entries_are_the_callers_ints(modulus):
+    """Exact ints already in [0, modulus) are checked, not rebuilt: the
+    vector holds the caller's own objects. (At 7 every entry is one of
+    CPython's cached small ints, so that case holds for any rebuild too.)"""
+    v = [modulus - 1, modulus // 3, 0, 1]
+    entries = ModVector(v, Ring(modulus)).entries
+    assert all(entries[j] is v[j] for j in range(len(v)))
 
 
 def test_modulus_lower_bound():
