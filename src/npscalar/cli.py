@@ -20,7 +20,6 @@ import time
 from . import analysis
 from .config import RunConfig, parse_config, parse_modulus
 from .errors import ConfigError, ScalarProtocolError
-from .parties import PartyId
 from .protocol import Policy, run_protocol
 from .ring import Ring
 
@@ -52,12 +51,13 @@ def _load_config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    vectors = cfg.vectors
     # opened before the run, so a bad destination costs no run
     out = _open(args.transcript, "w") if args.transcript else contextlib.nullcontext()
     with out:
         start = time.perf_counter()
         run = run_protocol(
-            cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
+            vectors, modulus=cfg.modulus, seed=cfg.seed, policy=cfg.policy
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if args.transcript:
@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
     ]
     status = 0
     if args.verify:
-        oracle = analysis.plaintext_oracle(cfg.vectors, Ring(cfg.modulus))
+        oracle = analysis.plaintext_oracle(vectors, Ring(cfg.modulus))
         match = oracle == run.result
         lines += [f"oracle: {oracle}", f"oracle-match: {str(match).lower()}"]
         status = 0 if match else 1
@@ -91,13 +91,11 @@ def cmd_attack_demo(args) -> int:
         print("the flawed and secure policies behave identically")
         return 0
     lines = []
-    parties = [PartyId.data(i + 1) for i in range(len(cfg.parties))]
-    name_of = dict(zip(parties, cfg.names))
-    truth = dict(zip(parties, cfg.vectors))
+    vectors = cfg.vectors
     for policy in (Policy.FLAWED, Policy.SECURE):
-        run = run_protocol(
-            cfg.vectors, modulus=cfg.modulus, seed=cfg.seed, policy=policy
-        )
+        run = run_protocol(vectors, modulus=cfg.modulus, seed=cfg.seed, policy=policy)
+        name_of = dict(zip(run.data_parties, cfg.names))
+        truth = dict(zip(run.data_parties, vectors))
         view = run.view_of(run.ttp)
         recovered = analysis.reconstruct_inputs(view)
         lines.append(f"policy {policy.value}:")

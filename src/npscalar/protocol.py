@@ -66,13 +66,15 @@ kept positions and coefficient. The chain is one ring: position j takes
 exactly one chain value, from the position before it (m before 1), and
 position 1's is the closing value. A final result carries the published
 one. A repeated message is rejected as a duplicate, one that never came as
-missing, and a payload field that is missing, or a position or scalar that
-is not exactly an int (`True == 1` and `1.0 == 1`), by name. Vector
-entries are not scanned as they arrive: when masking a vector or a chain
-step raises, or a chain value is not exactly an int, the position's mask
-and received vectors are scanned, and the error names the share
-distribution or masked vector that carried the first entry that is not an
-int; if every entry is an int, the kernel's own error propagates.
+missing, and a payload that is not a dict, a `mask` or `values` that is
+not a tuple, a payload field that is missing, or a position or scalar
+that is not exactly an int (`True == 1` and `1.0 == 1`), by name. Vector
+entries are not scanned as they arrive. `dispatch` is the one boundary
+for a handler's error: when masking a vector or a chain step raises, or a
+chain value is not exactly an int, it scans the receiving position's mask
+and received vectors, and names the share distribution or masked vector
+that carried the first entry that is not an int; if no message is at
+fault, the handler's own error propagates.
 
 A position computes with the mask and share its share distribution
 carried. `start` builds one meta record per mask, its id and the subject
@@ -323,21 +325,31 @@ def _integer(inst: ProtocolInstance, msg, field: str) -> int:
     return x
 
 
-def _non_int_entry(inst: ProtocolInstance, i: int, pos: _Position):
-    """The error for the first vector entry of position i that is not
-    exactly an int: in its mask, else in a masked vector it received, in
-    position order. It names the message that carried the entry. Its own
-    vector and every scalar are exact ints, so a step that went wrong on
-    its inputs always finds one; None if every entry is an int."""
-    for x in pos.mask:
+def _at_fault(inst: ProtocolInstance, msg, exc: Exception):
+    """The error naming the delivered message behind `exc`, which its
+    handler raised: a payload that is not a dict; a payload field a handler
+    reads (`_FIELDS`) that the payload lacks; else the first vector entry of
+    the receiving position that is not exactly an int, in its mask, then in
+    the masked vectors it received, in position order. Every kernel runs for
+    the message's own position, which `_receiver` has admitted, and its own
+    vector and every scalar are exact ints, so a step that went wrong on its
+    inputs always finds one. None if the engine is at fault."""
+    if type(msg.payload) is not dict:
+        return _rejected(inst.instance_id, msg.kind, None, "payload is not a dict")
+    field = exc.args[0] if isinstance(exc, KeyError) and exc.args else None
+    to_pos = msg.payload.get("to_pos")
+    if field in _FIELDS and field not in msg.payload:
+        return _rejected(inst.instance_id, msg.kind, to_pos, f"payload has no {field}")
+    pos = inst.positions[to_pos - 1]
+    for x in pos.mask or ():
         if type(x) is not int:
             problem = f"mask entry {x} is not an integer"
-            return _rejected(inst.instance_id, _SHARE, i, problem)
-    for j, values in sorted(pos.masked.items()):
+            return _rejected(inst.instance_id, _SHARE, to_pos, problem)
+    for i, values in sorted((pos.masked or {}).items()):
         for x in values:
             if type(x) is not int:
-                problem = f"values entry {x} from position {j} is not an integer"
-                return _rejected(inst.instance_id, _MASKED, i, problem)
+                problem = f"values entry {x} from position {i} is not an integer"
+                return _rejected(inst.instance_id, _MASKED, to_pos, problem)
 
 
 class ProtocolEngine:
@@ -466,14 +478,11 @@ class ProtocolEngine:
             ) from None
         try:
             self._HANDLERS[msg.kind](self, inst, msg)
-        except KeyError as exc:
-            # a payload field a handler reads (`_FIELDS`) that the message
-            # lacks is the message's fault; any other lookup is the engine's
-            field = exc.args[0] if exc.args else None
-            if field not in _FIELDS or field in msg.payload:
-                raise
-            to_pos, problem = msg.payload.get("to_pos"), f"payload has no {field}"
-            raise _rejected(inst.instance_id, msg.kind, to_pos, problem) from None
+        except (KeyError, TypeError, OverflowError, MemoryError) as exc:
+            # the engine's one boundary for a handler's error; a kernel fed
+            # a non-int entry can raise any of these (`int * str` can
+            # exhaust memory)
+            raise _at_fault(inst, msg, exc) or exc from None
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
         i = _receiver(inst, msg)
@@ -482,6 +491,9 @@ class ProtocolEngine:
         if pos.mask is not None:
             raise _rejected(inst.instance_id, msg.kind, i, "duplicate")
         mask = msg.payload["mask"]
+        if type(mask) is not tuple:
+            problem = f"mask is a {type(mask).__name__}, not a tuple"
+            raise _rejected(inst.instance_id, msg.kind, i, problem)
         if len(mask) != inst.length:
             problem = f"{len(mask)} mask entries, expected {inst.length}"
             raise _rejected(inst.instance_id, msg.kind, i, problem)
@@ -498,10 +510,7 @@ class ProtocolEngine:
         """Broadcast position i's masked vector to every other position, with
         the meta record its share distribution carried; all recipients share
         one immutable entries tuple and that one record."""
-        try:
-            values = _add(pos.vector, pos.mask, self.ring)
-        except (TypeError, OverflowError) as exc:
-            raise _non_int_entry(inst, i, pos) or exc from None
+        values = _add(pos.vector, pos.mask, self.ring)
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
@@ -527,6 +536,10 @@ class ProtocolEngine:
             problem = f"duplicate from position {i}"
             raise _rejected(inst.instance_id, msg.kind, j, problem)
         values = msg.payload["values"]
+        if type(values) is not tuple:
+            name = type(values).__name__
+            problem = f"values from position {i} are a {name}, not a tuple"
+            raise _rejected(inst.instance_id, msg.kind, j, problem)
         if len(values) != inst.length:
             problem = f"{len(values)} values from position {i}, expected {inst.length}"
             raise _rejected(inst.instance_id, msg.kind, j, problem)
@@ -539,22 +552,17 @@ class ProtocolEngine:
 
     def _chain(self, inst: ProtocolInstance, i: int, pos: _Position) -> None:
         """Position i's chain step, taken once it waits for nothing more.
-        Position 1 opens the chain with the output mask `start` drew. A
-        kernel that raises (`int * str` can exhaust memory), or a value that
-        is not exactly an int, is rejected by the vector entry behind it, if
-        any. The masked vectors are freed once the step is sent."""
+        Position 1 opens the chain with the output mask `start` drew. The
+        masked vectors are freed once the step is sent."""
         ring, masked = self.ring, pos.masked.values()
-        try:
-            if i == 1:
-                value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
-            else:
-                value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
-            # every scalar is an int by now, so only a vector entry can make
-            # the value something else
-            if type(value) is not int:
-                raise TypeError(f"chain value {value!r} is not an integer")
-        except (TypeError, OverflowError, MemoryError) as exc:
-            raise _non_int_entry(inst, i, pos) or exc from None
+        if i == 1:
+            value = chain_init(pos.vector, masked, pos.share, pos.output_mask, ring)
+        else:
+            value = chain_step(pos.chain_prev, pos.mask, masked, pos.share, ring)
+        # every scalar is an int by now, so only a vector entry can make the
+        # value something else; `dispatch` names it
+        if type(value) is not int:
+            raise TypeError(f"chain value {value!r} is not an integer")
         pos.masked = None
         nxt = i % inst.m + 1
         self.net.send(

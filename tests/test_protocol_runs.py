@@ -1154,6 +1154,49 @@ class TestMisrouteRejection:
         )
         assert error == f"{_named(msg)} {problem.format(**msg.payload)}"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [lambda msg: None, lambda msg: list(msg.payload.values())],
+        ids=["None", "list"],
+    )
+    @pytest.mark.parametrize("kind", list(PAYLOAD_FIELDS), ids=lambda k: k.value)
+    def test_payload_not_a_dict(self, kind, payload, monkeypatch):
+        """A payload that is not a dict names no position."""
+        _, error = self._run(monkeypatch, _of_kind(kind), "payload", payload)
+        assert error == (
+            f"instance 0: {kind.value} at position None: payload is not a dict"
+        )
+
+    @pytest.mark.parametrize(
+        "value,name",
+        [
+            (lambda v: dict(enumerate(v)), "dict"),
+            (lambda v: None, "NoneType"),
+            (lambda v: 5, "int"),
+        ],
+        ids=["dict", "None", "int"],
+    )
+    @pytest.mark.parametrize(
+        "kind,field,problem",
+        [
+            (MessageKind.SHARE_DISTRIBUTION, "mask", "mask is a {name}"),
+            (
+                MessageKind.MASKED_MATRIX,
+                "values",
+                "values from position {from_pos} are a {name}",
+            ),
+        ],
+        ids=["ShareDistribution", "MaskedMatrixBroadcast"],
+    )
+    def test_vector_not_a_tuple(self, kind, field, problem, value, name, monkeypatch):
+        """A vector payload must be a tuple: a dict of the right length
+        would otherwise be masked by its keys and yield a wrong result."""
+        msg, error = self._run(
+            monkeypatch, _of_kind(kind), field, lambda msg: value(msg.payload[field])
+        )
+        problem = problem.format(name=name, **msg.payload)
+        assert error == f"{_named(msg)} {problem}, not a tuple"
+
 
 def _top_to(kind, to_pos):
     return _top(lambda msg: msg.kind is kind and msg.payload["to_pos"] == to_pos)
@@ -1263,10 +1306,15 @@ class TestNonIntegerEntries:
         ],
         ids=repr,
     )
-    @pytest.mark.parametrize("kernel", ["_add", "_trace"])
+    @pytest.mark.parametrize(
+        "kernel", ["_add", "_trace", "aggregate_final", "_integer"]
+    )
     def test_kernel_error_on_int_entries_propagates(self, kernel, boom, monkeypatch):
         """When every entry is an int, the scan finds nothing to blame, and
-        the kernel's own exception is raised unchanged."""
+        the kernel's own exception is raised unchanged. `aggregate_final`
+        first raises on a leaf's closing chain value, at a position whose
+        masked vectors are already freed; `_integer` on the first share's
+        scalar, at a position that has no mask yet."""
 
         def failing(*args):
             raise boom
