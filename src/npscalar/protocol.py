@@ -70,11 +70,13 @@ missing, and a payload that is not a dict, a `mask` or `values` that is
 not a tuple, a payload field that is missing, or a position or scalar
 that is not exactly an int (`True == 1` and `1.0 == 1`), by name. Vector
 entries are not scanned as they arrive. `dispatch` is the one boundary
-for a handler's error: when masking a vector or a chain step raises, or a
-chain value is not exactly an int, it scans the receiving position's mask
-and received vectors, and names the share distribution or masked vector
-that carried the first entry that is not an int; if no message is at
-fault, the handler's own error propagates.
+for a delivered message, its instance lookup and handler in one `try`: it
+names a kind that is no `MessageKind` and an instance id that names no
+instance. When masking a vector or a chain step raises, or a chain value
+is not exactly an int, it scans the receiving position's mask and
+received vectors, and names the share distribution or masked vector that
+carried the first entry that is not an int; if no message is at fault,
+the handler's own error propagates.
 
 A position computes with the mask and share its share distribution
 carried. `start` builds one meta record per mask, its id and the subject
@@ -94,13 +96,14 @@ from enum import Enum
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (
+    ConfigError,
     InputShapeError,
     InstanceShapeError,
     ProtocolStateError,
     TtpAssignmentError,
 )
 from .parties import PartyId
-from .ring import ModVector, Ring, _add, _trace
+from .ring import DEFAULT_MODULUS, ModVector, Ring, _add, _trace
 from .shares import Rng, generate_share_bundles
 from .simnet import MessageKind, Network, View
 
@@ -286,10 +289,11 @@ class ProtocolInstance:
 
 def _rejected(instance_id: int, kind: MessageKind, position, problem: str):
     """The error for a message the instance's state does not admit, or one
-    it never got; it names the instance, the message kind and the
-    receiving position."""
+    it never got; it names the instance, the message kind (by its repr if
+    it is not a `MessageKind`) and the receiving position."""
+    name = kind.value if type(kind) is MessageKind else repr(kind)
     return ProtocolStateError(
-        f"instance {instance_id}: {kind.value} at position {position}: {problem}"
+        f"instance {instance_id}: {name} at position {position}: {problem}"
     )
 
 
@@ -325,19 +329,25 @@ def _integer(inst: ProtocolInstance, msg, field: str) -> int:
     return x
 
 
-def _at_fault(inst: ProtocolInstance, msg, exc: Exception):
-    """The error naming the delivered message behind `exc`, which its
-    handler raised: a payload that is not a dict; a payload field a handler
-    reads (`_FIELDS`) that the payload lacks; else the first vector entry of
-    the receiving position that is not exactly an int, in its mask, then in
-    the masked vectors it received, in position order. Every kernel runs for
-    the message's own position, which `_receiver` has admitted, and its own
-    vector and every scalar are exact ints, so a step that went wrong on its
-    inputs always finds one. None if the engine is at fault."""
-    if type(msg.payload) is not dict:
+def _at_fault(inst: Optional[ProtocolInstance], msg, exc: Exception):
+    """The error naming the delivered message behind `exc`: a kind that is
+    not a `MessageKind`; no such instance (`inst` is None); a payload that
+    is not a dict; a payload field a handler reads (`_FIELDS`) that it
+    lacks; else the first vector entry of the receiving position that is not
+    exactly an int, in its mask, then in the masked vectors it received, in
+    position order. Every kernel runs for the message's own position, which
+    `_receiver` has admitted, and its own vector and every scalar are exact
+    ints, so a step that went wrong on its inputs always finds one. None if
+    the engine is at fault."""
+    is_dict = type(msg.payload) is dict
+    to_pos = msg.payload.get("to_pos") if is_dict else None
+    if type(msg.kind) is not MessageKind:
+        return _rejected(msg.instance_id, msg.kind, to_pos, "no such kind")
+    if inst is None:
+        return _rejected(msg.instance_id, msg.kind, to_pos, "no such instance")
+    if not is_dict:
         return _rejected(inst.instance_id, msg.kind, None, "payload is not a dict")
     field = exc.args[0] if isinstance(exc, KeyError) and exc.args else None
-    to_pos = msg.payload.get("to_pos")
     if field in _FIELDS and field not in msg.payload:
         return _rejected(inst.instance_id, msg.kind, to_pos, f"payload has no {field}")
     pos = inst.positions[to_pos - 1]
@@ -470,18 +480,14 @@ class ProtocolEngine:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, msg) -> None:
+        inst = None
         try:
             inst = self.instances[msg.instance_id]
-        except KeyError:
-            raise _rejected(
-                msg.instance_id, msg.kind, msg.payload.get("to_pos"), "no such instance"
-            ) from None
-        try:
             self._HANDLERS[msg.kind](self, inst, msg)
         except (KeyError, TypeError, OverflowError, MemoryError) as exc:
-            # the engine's one boundary for a handler's error; a kernel fed
-            # a non-int entry can raise any of these (`int * str` can
-            # exhaust memory)
+            # the engine's one boundary for a delivered message, its lookup
+            # included; a kernel fed a non-int entry can raise any of these
+            # (`int * str` can exhaust memory)
             raise _at_fault(inst, msg, exc) or exc from None
 
     def _on_share(self, inst: ProtocolInstance, msg) -> None:
@@ -499,18 +505,10 @@ class ProtocolEngine:
             raise _rejected(inst.instance_id, msg.kind, i, problem)
         pos.share = _integer(inst, msg, "share")
         pos.mask = mask
-        self._send_masked(inst, i, pos, msg.meta)
-        pos.waiting -= 1
-        if not pos.waiting:
-            self._chain(inst, i, pos)
-
-    def _send_masked(
-        self, inst: ProtocolInstance, i: int, pos: _Position, meta: dict
-    ) -> None:
-        """Broadcast position i's masked vector to every other position, with
-        the meta record its share distribution carried; all recipients share
-        one immutable entries tuple and that one record."""
-        values = _add(pos.vector, pos.mask, self.ring)
+        # broadcast the masked vector to every other position, with the meta
+        # record the share distribution carried; all recipients share one
+        # immutable entries tuple and that one record
+        values = _add(pos.vector, mask, self.ring)
         send, owner, iid = self.net.send, pos.owner, inst.instance_id
         for j, other in enumerate(inst.positions, start=1):
             if j != i:
@@ -520,8 +518,11 @@ class ProtocolEngine:
                     iid,
                     _MASKED,
                     {"from_pos": i, "to_pos": j, "values": values},
-                    meta,
+                    msg.meta,
                 )
+        pos.waiting -= 1
+        if not pos.waiting:
+            self._chain(inst, i, pos)
 
     def _on_masked(self, inst: ProtocolInstance, msg) -> None:
         j = _receiver(inst, msg)
@@ -734,7 +735,7 @@ def _stalled(inst: ProtocolInstance) -> ProtocolStateError:
 def run_protocol(
     vectors: Sequence[Sequence[int]],
     *,
-    modulus: int = None,
+    modulus: int = DEFAULT_MODULUS,
     seed: int = 0,
     policy: Policy = Policy.SECURE,
 ) -> RunResult:
@@ -745,7 +746,9 @@ def run_protocol(
     """
     if len(vectors) < 2:
         raise InstanceShapeError("a run needs at least 2 data parties")
-    ring = Ring(modulus) if modulus is not None else Ring()
+    if type(policy) is not Policy:
+        raise ConfigError(f"policy must be a Policy, not {policy!r}")
+    ring = Ring(modulus)
     length = len(vectors[0])
     if length < 1:
         raise InstanceShapeError("vectors must have length >= 1")

@@ -56,6 +56,8 @@ class Ring:
 
     def __post_init__(self):
         m = self.modulus
+        if not isinstance(m, int):
+            raise TypeError(f"modulus must be an int, not {type(m).__name__}")
         if m < 2:
             raise ValueError("modulus must be at least 2")
         pair = (operator.and_, m - 1) if m & (m - 1) == 0 else (int.__mod__, m)

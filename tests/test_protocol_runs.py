@@ -788,7 +788,7 @@ class TestReadinessOrder:
 class MisroutingNetwork(Network):
     """Rewrites one field of the first delivered message that `pick`
     selects to `value(msg)`: its sender, its recipient, its instance id,
-    its whole payload or a payload field."""
+    its kind, its whole payload or a payload field."""
 
     def __init__(self, pick, field, value):
         super().__init__()
@@ -800,7 +800,7 @@ class MisroutingNetwork(Network):
     def deliver_next(self):
         msg = super().deliver_next()
         if msg is not None and self.misrouted is None and self.pick(msg):
-            if self.field in ("sender", "recipient", "instance_id", "payload"):
+            if self.field in ("sender", "recipient", "instance_id", "kind", "payload"):
                 setattr(msg, self.field, self.value(msg))
             else:
                 msg.payload = {**msg.payload, self.field: self.value(msg)}
@@ -1105,9 +1105,31 @@ class TestMisrouteRejection:
 
     @pytest.mark.parametrize("case", list(MISROUTES))
     def test_unknown_instance(self, case, monkeypatch):
+        """An instance id that names no instance, or cannot (a list is
+        unhashable), is rejected by name; with a payload that is not a
+        dict, the position is None."""
         pick, _ = MISROUTES[case]
-        msg, error = self._run(monkeypatch, pick, "instance_id", lambda msg: 10**6)
-        assert error == f"{_named(msg)} no such instance"
+        for bad in (10**6, [0]):
+            msg, error = self._run(monkeypatch, pick, "instance_id", lambda msg: bad)
+            assert error == f"{_named(msg)} no such instance"
+
+        def unknown_without_payload(msg):
+            msg.instance_id = 999
+            return None
+
+        msg, error = self._run(monkeypatch, pick, "payload", unknown_without_payload)
+        assert error == (
+            f"instance 999: {msg.kind.value} at position None: no such instance"
+        )
+
+    @pytest.mark.parametrize("kind", ["bogus", [1]], ids=["str", "unhashable"])
+    def test_no_such_kind(self, kind, monkeypatch):
+        """A kind that is not a `MessageKind` is rejected by its repr."""
+        pick = _of_kind(MessageKind.SHARE_DISTRIBUTION)
+        msg, error = self._run(monkeypatch, pick, "kind", lambda msg: kind)
+        assert error == (
+            f"instance 0: {kind!r} at position {msg.payload['to_pos']}: no such kind"
+        )
 
     @pytest.mark.parametrize(
         "kind,field",

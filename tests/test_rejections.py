@@ -79,6 +79,16 @@ REJECTIONS = {
         InstanceShapeError,
         "vectors must have length >= 1",
     ),
+    "run-policy-not-a-Policy": (
+        lambda: run_protocol([(1,), (2,)], policy="flawed"),
+        ConfigError,
+        "policy must be a Policy, not 'flawed'",
+    ),
+    "ring-modulus-float": (
+        lambda: Ring(251.0),
+        TypeError,
+        "modulus must be an int, not float",
+    ),
     "send-unknown-sender": (
         lambda: _network().send(STRANGER, KNOWN, 0, MessageKind.CHAIN_VALUE, {}),
         RoutingError,

@@ -237,3 +237,12 @@ def test_in_range_entries_are_the_callers_ints(modulus):
 def test_modulus_lower_bound():
     with pytest.raises(ValueError):
         Ring(1)
+
+
+def test_modulus_must_be_an_int():
+    """A numpy modulus would reduce entries to NotImplemented, as
+    `int.__mod__` refuses it; a bool is an int, and too small."""
+    with pytest.raises(TypeError, match="^modulus must be an int, not int64$"):
+        Ring(numpy.int64(251))
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        Ring(True)
